@@ -21,6 +21,11 @@ virtual time) for future PRs to compare against:
   >= 2.5x the unfused pull — up from the ~1.57x the object-array layout
   capped it at.  Same parity bar as ``fused_pipeline``: identical rows
   and identical charged virtual time.
+* ``wide_aggregate_order_by`` — the columnar-breaker gate: GROUP BY k
+  over 5k groups (factorized group ids, ``ufunc.at`` accumulation) and
+  ORDER BY v DESC (``np.lexsort`` over rank arrays) on 100k rows must
+  each clear >= 5x the row engine, measured in the same run, with
+  identical rows.
 
 CI smoke mode (``BENCH_SMOKE=1``): tiny scales, relaxed floors, JSON to
 a scratch path so the committed trajectory isn't clobbered (see
@@ -63,6 +68,14 @@ FUSED_AGG_FLOOR = 1.2 if SMOKE else 2.5
 FUSED_AGG_QUERY = ("SELECT grp, count(*), sum(v) FROM wide "
                    "WHERE v > 0.25 AND w2 < 0.9 GROUP BY grp")
 
+WIDE_ROWS = 8_000 if SMOKE else 100_000
+WIDE_FLOOR = 2.0 if SMOKE else 5.0
+WIDE_GROUPS = 5_000
+WIDE_QUERIES = {
+    "wide_aggregate": "SELECT k, count(*), sum(v), avg(w) FROM t GROUP BY k",
+    "order_by": "SELECT id, v FROM t ORDER BY v DESC",
+}
+
 
 def _update_report(family: str, payload: dict) -> None:
     """Read-modify-write one workload family's entry in the JSON."""
@@ -82,8 +95,10 @@ def _update_report(family: str, payload: dict) -> None:
         seeds={"numpy_rng": 7},
         workload={"agg_rows": AGG_ROWS, "fused_scales": FUSED_SCALES,
                   "fused_agg_scales": FUSED_AGG_SCALES,
+                  "wide_rows": WIDE_ROWS,
                   "agg_floor": AGG_FLOOR, "fused_floor": FUSED_FLOOR,
-                  "fused_agg_floor": FUSED_AGG_FLOOR})
+                  "fused_agg_floor": FUSED_AGG_FLOOR,
+                  "wide_floor": WIDE_FLOOR})
 
 
 # -- scan -> filter -> aggregate (batch vs row) -------------------------------
@@ -278,6 +293,68 @@ def test_fused_aggregate_throughput():
     assert speedup >= FUSED_AGG_FLOOR, (
         f"fused aggregate only {speedup:.2f}x over the unfused batch path "
         f"(acceptance floor is {FUSED_AGG_FLOOR}x)")
+
+
+# -- wide GROUP BY and ORDER BY (batch vs row) --------------------------------
+
+
+def _build_keyed_db(rows: int):
+    db = repro.connect()
+    db.execute("CREATE TABLE t (id INT UNIQUE, k INT, v FLOAT, w FLOAT)")
+    heap = db.catalog.table("t")
+    rng = np.random.default_rng(7)
+    k = rng.integers(0, WIDE_GROUPS, rows)
+    v = rng.random(rows)
+    w = rng.random(rows)
+    for i in range(rows):
+        heap.insert((i, int(k[i]), float(v[i]), float(w[i])))
+    db.execute("ANALYZE")
+    return db
+
+
+def _best_run(db, plan, engine: str, repeats: int = 3):
+    """Best-of-N wall-clock of SQL plan -> materialized rows."""
+    executor = Executor(db.catalog, db.clock, engine=engine)
+    result = executor.run(plan)  # warm caches
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        executor.run(plan)
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def test_wide_aggregate_order_by_throughput():
+    db = _build_keyed_db(WIDE_ROWS)
+    shapes = {}
+    for shape, sql in WIDE_QUERIES.items():
+        plan = db.planner.plan_select(parse(sql))
+        row_result, row_s = _best_run(db, plan, "row")
+        batch_result, batch_s = _best_run(db, plan, "batch")
+        assert batch_result.rows == row_result.rows
+        shapes[shape] = {
+            "workload": sql,
+            "row_engine": {"seconds": round(row_s, 4),
+                           "rows_per_sec": round(WIDE_ROWS / row_s)},
+            "batch_engine": {"seconds": round(batch_s, 4),
+                             "rows_per_sec": round(WIDE_ROWS / batch_s)},
+            "speedup": round(row_s / batch_s, 2),
+        }
+        print(f"\n{shape} over {WIDE_ROWS} rows ({WIDE_GROUPS} keys):")
+        print(f"  row engine:   {row_s:.4f}s")
+        print(f"  batch engine: {batch_s:.4f}s")
+        print(f"  speedup:      {row_s / batch_s:.1f}x")
+    _update_report("wide_aggregate_order_by", {
+        "rows": WIDE_ROWS,
+        "groups": WIDE_GROUPS,
+        "measure": "best of 3 runs, SQL plan to materialized rows",
+        "shapes": shapes,
+        "floor": WIDE_FLOOR,
+    })
+    for shape, entry in shapes.items():
+        assert entry["speedup"] >= WIDE_FLOOR, (
+            f"{shape}: batch engine only {entry['speedup']:.1f}x over the "
+            f"row engine (acceptance floor is {WIDE_FLOOR}x)")
 
 
 # -- tracing overhead (observability gate) ------------------------------------

@@ -27,6 +27,7 @@ cache keyed by runtime pattern value — see :func:`_compile_like_vector`).
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Callable, Sequence
 
@@ -135,11 +136,19 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
         negated = expr.negated
 
         def eval_in(row: tuple) -> Any:
+            # SQL semantics: a match is TRUE; otherwise a NULL operand or
+            # a NULL list item makes the answer unknown, not FALSE
             v = inner(row)
             if v is None:
                 return None
-            found = any(item(row) == v for item in items)
-            return (not found) if negated else found
+            unknown = False
+            for item in items:
+                candidate = item(row)
+                if candidate is None:
+                    unknown = True
+                elif candidate == v:
+                    return not negated
+            return None if unknown else negated
         return eval_in
 
     if isinstance(expr, ast.Between):
@@ -169,6 +178,16 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
 def to_bool(value: Any) -> bool:
     """WHERE-clause truthiness: NULL and false are both false."""
     return bool(value) if value is not None else False
+
+
+def sql_mod(a: Any, b: Any) -> Any:
+    """SQL remainder ``a % b``: its sign follows the dividend (``-7 % 3``
+    is -1 and ``7 % -3`` is 1), where Python's ``%`` floors.  Integers
+    stay exact; any float operand goes through C ``fmod``."""
+    if isinstance(a, int) and isinstance(b, int):
+        remainder = abs(a) % abs(b)
+        return -remainder if a < 0 else remainder
+    return math.fmod(a, b)
 
 
 # -- compiled-expression cache ----------------------------------------------
@@ -287,7 +306,7 @@ def _compile_binary(expr: ast.BinaryOp, layout: RowLayout) -> Evaluator:
                 return None
             if b == 0:
                 raise ExecutionError("modulo by zero")
-            return a % b
+            return sql_mod(a, b)
         return eval_mod
 
     if op == "LIKE":
@@ -541,13 +560,14 @@ def compile_expr_vector(expr: ast.Expr,
                     return fast
             v, null = operand(block)
             found = np.zeros(len(v), dtype=bool)
+            unknown = np.zeros(len(v), dtype=bool)
             for item in items:
                 iv, inull = item(block)
-                # row semantics: a NULL list item never matches (x == NULL
-                # inside any() is plain Python False, not SQL NULL)
                 found |= np.asarray(v == iv, dtype=bool) & ~inull
+                unknown |= inull
+            # no match and a NULL item: unknown, as in the row evaluator
             out = ~found if negated else found
-            return out, null
+            return out, null | (unknown & ~found)
         return eval_in
 
     if isinstance(expr, ast.FuncCall):
@@ -653,7 +673,7 @@ def _compile_binary_vector(expr: ast.BinaryOp,
                 raise VectorFallback
             safe = np.where(bv == 0.0, 1.0, bv)  # NULL slots hold 0.0
             av = av.astype(np.float64)
-            out = np.mod(av, safe) if modulo else av / safe
+            out = np.fmod(av, safe) if modulo else av / safe
             return out, null
         return eval_div
 

@@ -24,7 +24,7 @@ path is normally driven through the *fused hooks* instead of chained
 ``batches()`` generators: ``scan_block`` (scan + pushed predicate as a
 deferred mask), ``filter_mask`` (mask without the select),
 ``project_block`` (projection straight off a deferred mask),
-``absorb_block``/``finish_state`` (aggregate sink), ``sorted_rows``
+``absorb_block``/``finish_state`` (aggregate sink), ``sort_blocks``
 (sort sink), ``limit_block`` (early-exit stage), ``distinct_block``
 (order-sensitive stage).  Every ``batches()`` implementation is built on
 top of the same hooks, so the fused and unfused drives cannot drift:
@@ -50,10 +50,31 @@ predicate wrapper's fallback latch, an idempotent one-way write (see
 exactly one worker at a time.  For SeqScan/Filter/Project/HashJoin,
 ``batches()`` is implemented *on top of* the hooks, so the two paths
 cannot drift apart; AggregateOp's ``batches()`` keeps its own accumulation
-strategies (mask partition vs row partition) and is held together with the
-partial/merge path by the three-way parity sweep in
-``tests/test_batch_parity.py`` — change either side only with that suite
-in hand.
+strategies and is held together with the partial/merge path by the
+three-way parity sweep in ``tests/test_batch_parity.py`` — change either
+side only with that suite in hand.
+
+The serial batch breakers are array kernels over typed columns, checked
+against the row engine by ``tests/test_columnar_kernels.py``:
+
+* GROUP BY on one typed (i8/f8/bool/dict) column factorizes each block's
+  keys to group ids (``np.unique``, dictionary codes), adds new groups in
+  first-occurrence order with their first row as representative, and
+  folds counts, totals and extremes into per-group arrays of a
+  :class:`_GroupTable`.  ``ufunc.at`` applies updates strictly in row
+  order, so a float total is the row engine's left-to-right running sum
+  across blocks, bit for bit; totals start at -0.0, the identity that
+  keeps a group of -0.0 values negative.  Blocks the kernel declines —
+  DISTINCT, computed arguments, sum/avg/min/max over other column kinds,
+  int sums that could leave exact-float range, min/max over a -0.0/0.0
+  tie — and all object, computed or multi-column keys take the mask or
+  per-row partition, which replays :meth:`_Accumulator.add_values` on
+  the same table.
+* ORDER BY on typed slot keys keeps the input blocks and sorts them with
+  one stable ``np.lexsort`` over rank arrays that encode
+  :func:`_sort_key`'s total order (see :meth:`SortOp._rank_arrays`);
+  other keys sort row tuples on the composite key.  Either way the one
+  n·log₂ n charge is unchanged.
 """
 
 from __future__ import annotations
@@ -75,6 +96,7 @@ from repro.exec.expr import (
     RowLayout,
     compile_expr_cached,
     compile_predicate_batch,
+    sql_mod,
     to_bool,
 )
 from repro.plan import logical as plan
@@ -701,6 +723,204 @@ class _Accumulator:
         raise BindError(f"unknown aggregate {self.name!r}")
 
 
+# int64 running totals stay exact, and divide exactly for avg, while every
+# |total| stays under 2^53
+_EXACT_INT = 2 ** 53
+_INT64 = np.iinfo(np.int64)
+
+
+class _AggColumn:
+    """One aggregate call's running state across every group of a
+    :class:`_GroupTable`, column-wise.
+
+    ``counts[g]`` is group ``g``'s non-NULL argument count (its row count
+    for COUNT(*)); ``values[g]`` is the one running field the call's
+    result needs — the total for sum/avg, the extreme for min/max, nothing
+    for count — meaningful only where ``counts[g] > 0``.  ``values`` is a
+    float64 or int64 array while every stored value is a float, or an int
+    in exact-float range; anything else (bools, big ints, strings) turns
+    it into an object array, which the factorized kernel leaves to the
+    per-group path.  Empty slots of a typed array hold the identity of
+    their update (-0.0 or 0 for sums, ±inf or the int64 bounds for
+    extremes), so the kernel's ``ufunc.at`` starts every group correctly:
+    ``-0.0 + x`` is ``x`` bit for bit, including ``x = -0.0``."""
+
+    _FIELDS = {"sum": "total", "avg": "total",
+               "min": "minimum", "max": "maximum"}
+    _IDENTITY = {("total", "f"): -0.0, ("total", "i"): 0,
+                 ("minimum", "f"): np.inf, ("minimum", "i"): _INT64.max,
+                 ("maximum", "f"): -np.inf, ("maximum", "i"): _INT64.min}
+    _UFUNCS = {"total": np.add, "minimum": np.minimum,
+               "maximum": np.maximum}
+
+    def __init__(self, call: ast.FuncCall, layout: RowLayout):
+        self.name = call.name
+        self.field = self._FIELDS.get(call.name)
+        # the per-group path replays _Accumulator.add_values on a scratch
+        # instance, so both paths share one accumulation semantics.  It is
+        # built with the first group, where the row engine builds its
+        # first accumulator and rejects an invalid call such as sum(*)
+        self._call, self._layout = call, layout
+        self._scratch: _Accumulator | None = None
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.values: np.ndarray | None = None
+        self.seen: list[set] | None = [] if call.distinct else None
+
+    def grow(self, size: int) -> None:
+        """Make room for ``size`` groups (amortized doubling)."""
+        if self._scratch is None:
+            self._scratch = _Accumulator(self._call, self._layout)
+        have = len(self.counts)
+        if have >= size:
+            return
+        extra = max(size - have, have)
+        self.counts = np.concatenate(
+            [self.counts, np.zeros(extra, dtype=np.int64)])
+        if self.values is not None:
+            self.values = np.concatenate(
+                [self.values, self._fresh(self.values.dtype, extra)])
+        if self.seen is not None:
+            self.seen.extend(set() for _ in range(extra))
+
+    def _fresh(self, dtype, size: int) -> np.ndarray:
+        if dtype == object:
+            return np.full(size, None, dtype=object)
+        return np.full(size, self._IDENTITY[self.field, dtype.kind],
+                       dtype=dtype)
+
+    def typed_values(self, dtype) -> np.ndarray | None:
+        """The running field as a ``dtype`` array for the kernel
+        (allocated on first use), or None when it already holds another
+        representation."""
+        if self.values is None:
+            self.values = self._fresh(np.dtype(dtype), len(self.counts))
+        return self.values if self.values.dtype == dtype else None
+
+    def fold(self, gids: np.ndarray, data: np.ndarray) -> None:
+        """The kernel path: fold ``data[i]`` into group ``gids[i]``.
+        ``ufunc.at`` applies the updates one by one in row order, so a
+        float total is the row engine's running sum, bit for bit."""
+        self._UFUNCS[self.field].at(self.values, gids, data)
+
+    def add_values(self, gid: int, values: list, clean: bool) -> None:
+        """The per-group path: fold ``values`` into group ``gid`` exactly
+        as :meth:`_Accumulator.add_values` would."""
+        acc = self._scratch
+        acc.count = count = int(self.counts[gid])
+        acc.total = acc.minimum = acc.maximum = None
+        if self.field is not None and count:
+            stored = self.values[gid]
+            setattr(acc, self.field,
+                    stored if self.values.dtype == object else stored.item())
+        if self.seen is not None:
+            acc._seen = self.seen[gid]
+        acc.add_values(values, clean)
+        self.counts[gid] = acc.count
+        if self.field is not None and acc.count:
+            self._store(gid, getattr(acc, self.field))
+
+    def _store(self, gid: int, value: Any) -> None:
+        if type(value) is float:
+            dtype = np.dtype(np.float64)
+        elif type(value) is int and -_EXACT_INT < value < _EXACT_INT:
+            dtype = np.dtype(np.int64)
+        else:
+            dtype = np.dtype(object)
+        if self.values is None:
+            self.values = self._fresh(dtype, len(self.counts))
+        elif self.values.dtype not in (dtype, object):
+            self.values = self.values.astype(object)
+        self.values[gid] = value
+
+    def results(self, size: int) -> list:
+        """The call's result for each of the first ``size`` groups."""
+        counts = self.counts[:size]
+        if self.field is None:
+            return counts.tolist()
+        if self.values is None:
+            return [None] * size
+        values = self.values[:size]
+        if self.name != "avg":
+            out = values.tolist()
+        elif values.dtype == object:
+            out = [t / c if c else None
+                   for t, c in zip(values.tolist(), counts.tolist())]
+        else:
+            # float64 division is Python's float / int here: counts are
+            # exact floats and int totals stay under 2^53
+            out = (values / np.maximum(counts, 1)).tolist()
+        for gid in np.flatnonzero(counts == 0).tolist():
+            out[gid] = None
+        return out
+
+
+class _GroupTable:
+    """The serial batch engine's GROUP BY state: group keys in first-seen
+    order, each group's representative row (its first row) stored
+    column-wise, and one :class:`_AggColumn` per aggregate call.  The
+    factorized kernel, the mask partition and the per-row partition all
+    fold into the same table, so blocks taking different paths still
+    accumulate each group in row order."""
+
+    def __init__(self, aggs: list[_AggColumn], width: int):
+        self.index: dict[Any, int] = {}
+        self.reps: list[list] = [[] for _ in range(width)]
+        self.aggs = aggs
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def add(self, key: Any, row: tuple) -> int:
+        """Register one new group with its representative row."""
+        gid = self.index[key] = len(self.index)
+        for column, value in zip(self.reps, row):
+            column.append(value)
+        for agg in self.aggs:
+            agg.grow(gid + 1)
+        return gid
+
+    def extend(self, keys: list, rep_columns: list[list]) -> None:
+        """Register new groups in order, representatives column-wise."""
+        start = len(self.index)
+        self.index.update(zip(keys, range(start, start + len(keys))))
+        for column, values in zip(self.reps, rep_columns):
+            column.extend(values)
+        for agg in self.aggs:
+            agg.grow(len(self.index))
+
+
+def _factorize(col: TypedColumn, mask: np.ndarray | None
+               ) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct keys of a typed column's (selected) rows as ``(keys,
+    first, inverse)``: each key's Python value, the row it first occurs
+    at, and every row's index into ``keys``.  NULL is a key like any
+    other.  ``np.unique`` sorts stably when asked for first indices, so
+    of keys that compare equal (-0.0 and 0.0) the first occurrence is
+    the one kept, as the row engine's group dict keeps it."""
+    data = col.data if mask is None else col.data[mask]
+    if col.kind == "dict" or col.valid is None:
+        # dictionary NULLs carry code -1 and factorize like any code
+        _, first, inverse = np.unique(data, return_index=True,
+                                      return_inverse=True)
+        keys = data[first].tolist()
+        if col.kind == "dict":
+            words = col.dictionary
+            keys = [None if code < 0 else words[code] for code in keys]
+        return keys, first, inverse
+    valid = col.valid if mask is None else col.valid[mask]
+    rows = np.flatnonzero(valid)
+    _, first, live_inverse = np.unique(data[rows], return_index=True,
+                                       return_inverse=True)
+    first = rows[first]
+    keys = data[first].tolist()
+    inverse = np.full(len(data), len(keys), dtype=np.intp)
+    inverse[rows] = live_inverse
+    if len(rows) < len(data):
+        keys.append(None)
+        first = np.append(first, np.argmin(valid))
+    return keys, first, inverse
+
+
 class AggregateOp(Operator):
     """Hash aggregation with optional GROUP BY.
 
@@ -773,52 +993,76 @@ class AggregateOp(Operator):
 
     # -- fused-pipeline hooks ----------------------------------------------
 
-    def new_state(self) -> tuple[dict, list]:
-        """Fresh serial accumulation state: ``(groups, group_order)``."""
-        return {}, []
+    def new_state(self) -> _GroupTable:
+        """Fresh serial accumulation state."""
+        return _GroupTable(
+            [_AggColumn(call, self._child.layout) for call in self._agg_calls],
+            len(self._child.layout))
 
-    def absorb_block(self, block: RowBlock, state: tuple[dict, list],
+    def absorb_block(self, block: RowBlock, state: _GroupTable,
                      clock: SimClock) -> None:
         """Fused sink hook: fold one block into the accumulation state,
-        charging ``clock``.  Strategy per block: whole-block accumulators
-        for global aggregates, mask partitioning for narrow single-column
-        GROUP BY, per-row partitioning otherwise."""
+        charging ``clock``."""
         self.absorb_carrier(block, None, len(block), state, clock)
 
     def absorb_carrier(self, block: RowBlock, mask: np.ndarray | None,
-                       count: int, state: tuple[dict, list],
+                       count: int, state: _GroupTable,
                        clock: SimClock) -> None:
         """Deferred-mask sink hook: fold the ``count`` surviving rows of
         ``(block, mask)`` into the accumulation state without
         materializing the selection.  When every key/argument is a column
-        passthrough the mask rides along into the partitioners (group
-        masks are AND-ed with it, value takes fancy-index through it);
-        otherwise the block is selected once so row evaluators only ever
-        see surviving rows — exactly what :meth:`absorb_block` on a
-        pre-selected block would have done."""
-        groups, group_order = state
+        passthrough the mask rides along into the partitioners (arrays
+        are taken through it); otherwise the block is selected once so
+        row evaluators only ever see surviving rows — exactly what
+        :meth:`absorb_block` on a pre-selected block would have done.
+
+        Strategy per block: whole-block accumulation for global
+        aggregates; for a single-column GROUP BY, the factorized kernel
+        over a typed key column, else mask partitioning for a few keys;
+        per-row partitioning otherwise."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
         if mask is not None and not self._slot_only:
             block = block.select(mask)
             mask = None
         if not self._node.group_by:
-            self._accumulate_all(block, groups, group_order, mask, count)
+            self._accumulate_all(block, state, mask, count)
         elif (len(self._group_sources) == 1
                 and self._group_sources[0][0] == _SLOT):
-            self._accumulate_by_column(block, groups, group_order, mask)
+            self._accumulate_by_column(block, state, mask)
         else:
             if mask is not None:
                 block = block.select(mask)
-            self._accumulate_by_rows(block, groups, group_order)
+            self._accumulate_by_rows(block, state)
 
-    def finish_state(self, state: tuple[dict, list]) -> RowBlock | None:
+    def finish_state(self, state: _GroupTable) -> RowBlock | None:
         """Fused sink hook: emit the result block (rows_out attributed),
-        or None when a grouped query saw no rows."""
-        groups, group_order = state
-        rows = list(self._result_rows(groups, group_order, count=False))
-        if rows:
+        or None when a grouped query saw no rows.  Result columns are
+        built column-wise: aggregate items straight from the per-call
+        result lists, bare column items from the representative columns,
+        anything else per group."""
+        if not state:
+            # a global aggregate over zero rows still yields its default row
+            rows = list(self._result_rows({}, [], count=False))
+            if not rows:
+                return None
             return self._emit_block(RowBlock.from_rows(self.layout, rows))
-        return None
+        size = len(state)
+        results = {id(call): agg.results(size)
+                   for call, agg in zip(self._agg_calls, state.aggs)}
+        columns = []
+        for item in self._node.items:
+            expr = item.expr
+            if id(expr) in results:
+                columns.append(results[id(expr)])
+            elif isinstance(expr, ast.ColumnRef):
+                slot = self._child.layout.resolve(expr.name, expr.table)
+                columns.append(state.reps[slot])
+            else:
+                columns.append([
+                    self._eval_item(expr, row, {key: values[gid] for key,
+                                                values in results.items()})
+                    for gid, row in enumerate(zip(*state.reps))])
+        return self._emit_block(RowBlock.from_columns(self.layout, columns))
 
     def _call_arrays(self, block: RowBlock):
         """(values array, clean) per aggregate call; None for COUNT(*)."""
@@ -839,101 +1083,40 @@ class AggregateOp(Operator):
                 arrays.append((values, False))
         return arrays
 
-    def _accumulate_all(self, block, groups, group_order,
-                        mask=None, count=None) -> None:
+    def _accumulate_all(self, block, table, mask=None, count=None) -> None:
         """No GROUP BY: the whole block (or its masked selection) feeds
-        one accumulator set."""
+        one group."""
         if count is None:
             count = len(block)
-        if () not in groups:
+        if not table:
             first = 0 if mask is None else int(mask.argmax())
-            representative = tuple(c[first] for c in block.columns)
-            groups[()] = (self._new_accs(), representative)
-            group_order.append(())
-        for acc, entry in zip(groups[()][0], self._call_arrays(block)):
+            table.add((), tuple(c[first] for c in block.columns))
+        for agg, entry in zip(table.aggs, self._call_arrays(block)):
             if entry is None:
-                acc.add_count(count)
+                agg.counts[0] += count
             else:
                 values, clean = entry
                 if mask is not None:
                     values = values[mask]
-                acc.add_values(values.tolist(), clean)
+                agg.add_values(0, values.tolist(), clean)
 
     # mask partitioning costs one full-column comparison per distinct key;
     # past this many keys per block the per-row dict loop is cheaper
     _MASK_PARTITION_MAX_KEYS = 32
 
-    def _accumulate_by_column(self, block, groups, group_order,
-                              mask=None) -> None:
-        """Single-column GROUP BY: partition with boolean masks — one C
-        comparison per distinct key instead of a per-row dict loop.
-
-        Typed group columns partition without touching Python values:
-        dictionary strings compare int32 codes (NULL rows carry code -1,
-        so the NULL group falls out of the same comparison), and clean
-        int64/float64/bool columns compare their data arrays directly.
-        A deferred selection ``mask`` is AND-ed into each group's mask —
-        rejected rows are never materialized."""
+    def _accumulate_by_column(self, block, table, mask=None) -> None:
+        """Single-column GROUP BY.  A typed key column goes through the
+        factorized kernel when every aggregate call allows it; otherwise
+        a few distinct keys partition with boolean masks — one C
+        comparison per key instead of a per-row dict loop — and many keys
+        (or NaN keys) take the per-row partition.  A deferred selection
+        ``mask`` is AND-ed into each group's mask, so rejected rows are
+        never materialized."""
         slot = self._group_sources[0][1]
         raw = block.columns[slot]
-        typed = raw if isinstance(raw, TypedColumn) else None
-
-        if typed is not None and typed.kind == "dict":
-            codes = typed.data
-            sel = codes if mask is None else codes[mask]
-            # one O(n) bincount pass finds the distinct codes AND each
-            # group's row count; +1 shifts the NULL code -1 into range
-            counts = np.bincount(sel + 1,
-                                 minlength=len(typed.dictionary) + 1)
-            distinct_codes = (np.nonzero(counts)[0] - 1).tolist()
-            if len(distinct_codes) > self._MASK_PARTITION_MAX_KEYS:
-                self._fallback_by_rows(block, mask, groups, group_order)
-                return
-            if len(distinct_codes) > 1:
-                # bincount yields codes in sorted order; unseen keys must
-                # enter group_order in first-occurrence order to match the
-                # row path, so order the fresh ones by first hit (known
-                # groups accumulate independently — their order is free)
-                fresh = [c for c in distinct_codes
-                         if (None if c < 0 else typed.dictionary[c])
-                         not in groups]
-                if len(fresh) > 1:
-                    firsts = {c: int(np.argmax(sel == c)) for c in fresh}
-                    distinct_codes.sort(key=lambda c: firsts.get(c, -1))
-            call_arrays = self._call_arrays(block)
-            for code in distinct_codes:
-                key = None if code < 0 else typed.dictionary[code]
-                gmask = codes == code
-                if mask is not None:
-                    gmask &= mask
-                self._absorb_group(block, key, gmask, groups, group_order,
-                                   call_arrays,
-                                   rows_in_group=int(counts[code + 1]))
+        if (isinstance(raw, TypedColumn) and raw.kind != "obj"
+                and self._accumulate_factorized(block, raw, table, mask)):
             return
-
-        if typed is not None and typed.kind in ("i8", "f8", "bool"):
-            # f8 typed columns are NaN-free by construction (NaN floats
-            # fall back to the object layout), so no NaN-key guard needed
-            keys = typed.values_list(mask)
-            distinct = dict.fromkeys(keys)
-            if len(distinct) > self._MASK_PARTITION_MAX_KEYS:
-                self._fallback_by_rows(block, mask, groups, group_order)
-                return
-            call_arrays = self._call_arrays(block)
-            for key in distinct:
-                if key is None:
-                    gmask = typed.null_mask()
-                    gmask = gmask if mask is None else (gmask & mask)
-                else:
-                    gmask = typed.data == key
-                    if typed.valid is not None:
-                        gmask &= typed.valid
-                    if mask is not None:
-                        gmask &= mask
-                self._absorb_group(block, key, gmask, groups, group_order,
-                                   call_arrays)
-            return
-
         col = block.column(slot)
         sel_col = col if mask is None else col[mask]
         distinct = dict.fromkeys(sel_col.tolist())
@@ -944,7 +1127,9 @@ class AggregateOp(Operator):
             # shares the row engine's identity semantics for NaN.  Same
             # guard as _sort_key: isinstance-checked NaN, so an exotic
             # __ne__ can never be mistaken for (or hide) a NaN key
-            self._fallback_by_rows(block, mask, groups, group_order)
+            if mask is not None:
+                block = block.select(mask)
+            self._accumulate_by_rows(block, table)
             return
         call_arrays = self._call_arrays(block)
         for key in distinct:
@@ -955,41 +1140,120 @@ class AggregateOp(Operator):
                 gmask = np.asarray(col == key, dtype=bool)
                 if mask is not None:
                     gmask &= mask
-            self._absorb_group(block, key, gmask, groups, group_order,
-                               call_arrays)
+            gid = table.index.get(key)
+            if gid is None:
+                first = int(gmask.argmax())
+                gid = table.add(key, tuple(c[first] for c in block.columns))
+            rows = int(np.count_nonzero(gmask))
+            for agg, entry in zip(table.aggs, call_arrays):
+                if entry is None:
+                    agg.counts[gid] += rows
+                else:
+                    values, clean = entry
+                    agg.add_values(gid, values[gmask].tolist(), clean)
 
-    def _fallback_by_rows(self, block, mask, groups, group_order) -> None:
-        if mask is not None:
-            block = block.select(mask)
-        self._accumulate_by_rows(block, groups, group_order)
+    def _kernel_inputs(self, block, table, mask) -> list | None:
+        """Per aggregate call, what the factorized kernel folds in: None
+        for COUNT(*), ``(live, None)`` for count(x) — the selected rows'
+        non-NULL mask — and ``(live, data)`` for sum/avg/min/max over an
+        int64/float64 column.  Returns None when any call needs the
+        per-group path: DISTINCT, computed arguments, other column kinds,
+        a running field already held in another representation, an int
+        sum that could leave exact-float range, or a min/max where a tie
+        between -0.0 and 0.0 would need first-seen order."""
+        inputs: list = []
+        for agg, source in zip(table.aggs, self._agg_sources):
+            if source is None:
+                inputs.append(None)
+                continue
+            if agg.seen is not None or source[0] != _SLOT:
+                return None
+            col = block.columns[source[1]]
+            live = ~block.null_mask(source[1])
+            if mask is not None:
+                live = live[mask]
+            if agg.field is None:
+                inputs.append((live, None))
+                continue
+            if not isinstance(col, TypedColumn) or col.kind not in ("i8",
+                                                                    "f8"):
+                return None
+            values = agg.typed_values(col.data.dtype)
+            if values is None:
+                return None
+            data = col.data if mask is None else col.data[mask]
+            data = data[live]
+            if col.kind == "i8" and agg.field == "total":
+                bound = np.abs(data.astype(np.float64)).sum()
+                if len(table):
+                    bound += np.abs(values[:len(table)]).max()
+                if bound >= _EXACT_INT:
+                    return None
+            if col.kind == "f8" and agg.field != "total":
+                zeros = data[data == 0]
+                if len(zeros) and (
+                        np.signbit(zeros).any()
+                        or np.signbit(values[values == 0]).any()):
+                    return None
+            inputs.append((live, data))
+        return inputs
 
-    def _absorb_group(self, block, key, gmask, groups, group_order,
-                      call_arrays, rows_in_group: int | None = None) -> None:
-        """Fold one group's masked rows into its accumulators (shared tail
-        of every mask-partition strategy)."""
-        if key not in groups:
-            first = int(gmask.argmax())
-            representative = tuple(c[first] for c in block.columns)
-            groups[key] = (self._new_accs(), representative)
-            group_order.append(key)
-        if rows_in_group is None:
-            rows_in_group = int(np.count_nonzero(gmask))
-        for acc, entry in zip(groups[key][0], call_arrays):
+    def _accumulate_factorized(self, block, keycol: TypedColumn, table,
+                               mask) -> bool:
+        """Single-column GROUP BY on a typed (i8/f8/bool/dict) key: one
+        array pass per block instead of per-row Python work.  Returns
+        False, having changed nothing, when an aggregate call needs the
+        per-group path (see :meth:`_kernel_inputs`).
+
+        Keys factorize to dense per-block ids with ``np.unique``
+        (dictionary strings through their int32 codes); new groups join
+        the table in first-occurrence order with their first row as the
+        representative, exactly as the row engine discovers them.  Counts
+        add through ``bincount``; totals and extremes fold into the
+        table's per-group arrays with ``ufunc.at``, which applies its
+        updates strictly in row order — so each group's float total is
+        the same left-to-right running sum the row engine computes,
+        carried across blocks, bit for bit."""
+        inputs = self._kernel_inputs(block, table, mask)
+        if inputs is None:
+            return False
+        keys, first, inverse = _factorize(keycol, mask)
+        if not keys:
+            return True
+        index = table.index
+        gids = np.array([index.get(key, -1) for key in keys], dtype=np.int64)
+        fresh = np.flatnonzero(gids < 0)
+        if len(fresh):
+            fresh = fresh[np.argsort(first[fresh], kind="stable")]
+            gids[fresh] = np.arange(len(table), len(table) + len(fresh))
+            rows = first[fresh]
+            if mask is not None:
+                rows = np.flatnonzero(mask)[rows]
+            table.extend([keys[j] for j in fresh.tolist()],
+                         [block.values_list(slot, rows)
+                          for slot in range(len(block.columns))])
+        row_gids = gids[inverse]
+        size = len(table)
+        for agg, entry in zip(table.aggs, inputs):
             if entry is None:
-                acc.add_count(rows_in_group)
-            else:
-                values, clean = entry
-                acc.add_values(values[gmask].tolist(), clean)
+                agg.counts[:size] += np.bincount(row_gids, minlength=size)
+                continue
+            live, data = entry
+            live_gids = row_gids[live]
+            agg.counts[:size] += np.bincount(live_gids, minlength=size)
+            if data is not None:
+                agg.fold(live_gids, data)
+        return True
 
-    def _accumulate_by_rows(self, block, groups, group_order) -> None:
+    def _accumulate_by_rows(self, block, table) -> None:
         """General GROUP BY (multi-column or computed keys): per-row
         partition, preserving row order so accumulation matches the row
         path exactly."""
         call_arrays = self._call_arrays(block)
         key_columns = [_source_values(source, block)
                        for source in self._group_sources]
-        # single-column keys stay raw so this path and the mask path can
-        # interleave across blocks without splitting groups
+        # single-column keys stay raw so this path and the column paths
+        # can interleave across blocks without splitting groups
         keys = (key_columns[0] if len(key_columns) == 1
                 else list(zip(*key_columns)))
         partition: dict[Any, list[int]] = {}
@@ -997,19 +1261,18 @@ class AggregateOp(Operator):
             bucket = partition.get(key)
             if bucket is None:
                 partition[key] = [i]
-                if key not in groups:
-                    representative = tuple(c[i] for c in block.columns)
-                    groups[key] = (self._new_accs(), representative)
-                    group_order.append(key)
+                if key not in table.index:
+                    table.add(key, tuple(c[i] for c in block.columns))
             else:
                 bucket.append(i)
         for key, indices in partition.items():
-            for acc, entry in zip(groups[key][0], call_arrays):
+            gid = table.index[key]
+            for agg, entry in zip(table.aggs, call_arrays):
                 if entry is None:
-                    acc.add_count(len(indices))
+                    agg.counts[gid] += len(indices)
                 else:
                     values, clean = entry
-                    acc.add_values([values[i] for i in indices], clean)
+                    agg.add_values(gid, [values[i] for i in indices], clean)
 
     # -- parallel hooks ----------------------------------------------------
     #
@@ -1201,6 +1464,7 @@ class AggregateOp(Operator):
             return {"+": lambda: left + right, "-": lambda: left - right,
                     "*": lambda: left * right,
                     "/": lambda: left / right if right else None,
+                    "%": lambda: sql_mod(left, right) if right else None,
                     }.get(expr.op, lambda: None)()
         if isinstance(expr, ast.UnaryOp) and expr.op == "-":
             value = self._eval_item(expr.operand, row, agg_results)
@@ -1236,6 +1500,13 @@ class SortOp(Operator):
         self._child = child
         self._keys = [(compile_expr_cached(k.expr, child.layout),
                        k.descending) for k in node.keys]
+        # per key, its column slot when the key is a bare column (the
+        # lexsort kernel's precondition), else None
+        self._key_slots = []
+        for k in node.keys:
+            kind, payload = _value_source(k.expr, child.layout)
+            self._key_slots.append(
+                (payload if kind == _SLOT else None, k.descending))
 
     def _composite_key(self, row: tuple) -> tuple:
         """Total-order composite sort key for one row.
@@ -1258,29 +1529,89 @@ class SortOp(Operator):
         import math
         return n * math.log2(n) * CostModel.SORT_ROW_LOG
 
-    def sorted_rows(self, rows: list[tuple],
-                    clock: SimClock) -> list[tuple]:
-        """Fused sink hook: sort collected rows in place, charging
-        ``clock`` the full n·log₂(n) — the one sort charge the serial
-        engines make."""
-        cost = self._sort_cost(len(rows))
+    def _charge_sort(self, n: int, clock: SimClock) -> None:
+        cost = self._sort_cost(n)
         if cost:
             clock.advance(cost, cat.SORT)
-        rows.sort(key=self._composite_key)
-        return rows
-
-    def _sorted(self, rows: list[tuple]) -> list[tuple]:
-        return self.sorted_rows(rows, self._clock)
 
     def __iter__(self) -> Iterator[tuple]:
-        for row in self._sorted(list(self._child)):
+        rows = list(self._child)
+        self._charge_sort(len(rows), self._clock)
+        rows.sort(key=self._composite_key)
+        for row in rows:
             yield self._emit(row)
 
     def batches(self) -> Iterator[RowBlock]:
-        rows = [row for block in self._child.batches()
-                for row in block.iter_rows()]
-        for block in rows_to_blocks(self.layout, self._sorted(rows)):
+        for block in self.sort_blocks(list(self._child.batches()),
+                                      self._clock):
             yield self._emit_block(block)
+
+    def sort_blocks(self, blocks: list[RowBlock],
+                    clock: SimClock) -> list[RowBlock]:
+        """Fused sink hook: sort the collected input blocks, charging
+        ``clock`` the full n·log₂(n) — the one sort charge the serial
+        engines make — and return the sorted rows in blocks of
+        ``DEFAULT_BATCH_SIZE``.
+
+        When every key is a bare column that concatenates to a typed
+        i8/f8/bool/dict column, the permutation comes from one
+        ``np.lexsort`` over rank arrays encoding :func:`_sort_key`'s order
+        (see :meth:`_rank_arrays`) and the columns are taken through it;
+        lexsort is stable, so ties keep input order exactly as the
+        composite-key sort does.  Any other key sorts row tuples on
+        :meth:`_composite_key`."""
+        self._charge_sort(sum(len(block) for block in blocks), clock)
+        blocks = [block for block in blocks if block]
+        if not blocks:
+            return []
+        columns = [_concat_column([block.columns[j] for block in blocks])
+                   for j in range(len(self.layout))]
+        ranks = self._rank_arrays(columns)
+        if ranks is None:
+            rows = [row for block in blocks for row in block.iter_rows()]
+            rows.sort(key=self._composite_key)
+            return list(rows_to_blocks(self.layout, rows))
+        order = np.lexsort(ranks)
+        columns = [column[order] for column in columns]
+        n = len(order)
+        return [RowBlock(self.layout,
+                         [column[start:start + DEFAULT_BATCH_SIZE]
+                          for column in columns],
+                         min(DEFAULT_BATCH_SIZE, n - start))
+                for start in range(0, n, DEFAULT_BATCH_SIZE)]
+
+    def _rank_arrays(self, columns: list) -> list[np.ndarray] | None:
+        """``np.lexsort`` keys, least significant first, whose order is
+        the composite key's, or None when a key is not a typed slot
+        column.  Per sort key: a NULL flag (NULLs last ascending, first
+        descending — ``_sort_key`` puts NULL above every value and
+        ``_Descending`` flips it) above a value rank: the data itself for
+        ints, floats and bools, each code's position in the Python-sorted
+        dictionary for strings; ``~x`` reverses an integer rank without
+        overflow (INT64_MIN included) and ``-x`` a float one, under which
+        -0.0 and 0.0 still tie."""
+        ranks: list[np.ndarray] = []
+        for slot, descending in reversed(self._key_slots):
+            column = None if slot is None else columns[slot]
+            if (not isinstance(column, TypedColumn)
+                    or column.kind == "obj"):
+                return None
+            if column.kind == "dict":
+                words = column.dictionary
+                lut = np.zeros(len(words) + 1, dtype=np.int64)
+                lut[sorted(range(len(words)), key=words.__getitem__)] = (
+                    np.arange(len(words)))
+                values = lut[column.data]
+            elif column.kind == "bool":
+                values = column.data.view(np.int8)
+            else:
+                values = column.data
+            if descending:
+                values = -values if values.dtype.kind == "f" else ~values
+            ranks.append(values)
+            if column.valid is not None:
+                ranks.append(column.valid if descending else ~column.valid)
+        return ranks
 
     # -- parallel hooks ----------------------------------------------------
     #
@@ -1290,7 +1621,7 @@ class SortOp(Operator):
     # each run pays its own n_i*log2(n_i) on the worker that sorted it,
     # and the merge pays the remainder n*log2(n) - sum(n_i*log2(n_i)) —
     # about n*log2(k), the classic k-way merge cost — so the charged
-    # total is exactly what the serial engines' single _sorted charges.
+    # total is exactly what the serial engines' single sort charges.
     # Determinism: runs arrive in morsel order and the merge heap breaks
     # key ties by (run index, position), which is precisely the serial
     # sort's stability over input order; rows are never compared.
@@ -1342,6 +1673,17 @@ def _is_nan(value: Any) -> bool:
     ordering).  The ``isinstance`` guard keeps exotic ``__ne__``
     implementations from being mistaken for NaN."""
     return isinstance(value, float) and value != value
+
+
+def _concat_column(parts: list):
+    """One column from per-block pieces: typed pieces concatenate typed
+    (mixed kinds fall back to objects), anything else as objects."""
+    if len(parts) == 1:
+        return parts[0]
+    if all(isinstance(part, TypedColumn) for part in parts):
+        return TypedColumn.concat(parts)
+    return np.concatenate([part.objects() if isinstance(part, TypedColumn)
+                           else part for part in parts])
 
 
 def _sort_key(value: Any) -> tuple:

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
-from repro.exec.batch import RowBlock, rows_to_blocks
+from repro.exec.batch import RowBlock
 from repro.exec.expr import RowLayout
 
 
@@ -278,16 +278,18 @@ class AggregateSink(PipelineSink):
 
 
 class SortSink(PipelineSink):
+    """Keeps its input blocks as they come; :meth:`ops.SortOp.sort_blocks`
+    sorts them column-wise at finish."""
+
     def __init__(self, op: ops.SortOp):
         super().__init__(op)
-        self._rows: list[tuple] = []
+        self._blocks: list[RowBlock] = []
 
     def absorb(self, block, clock):
-        self._rows.extend(block.iter_rows())
+        self._blocks.append(block)
 
     def finish(self, clock):
-        rows = self.op.sorted_rows(self._rows, clock)
-        for block in rows_to_blocks(self.op.layout, rows):
+        for block in self.op.sort_blocks(self._blocks, clock):
             self.result_blocks.append(self.op._emit_block(block))
 
 

@@ -2,12 +2,39 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.common.errors import ParseError
 from repro.sql import ast
 from repro.sql.lexer import Token, TokenType, tokenize
 from repro.storage.types import DataType
+
+
+# Expression limits, in the spirit of SQLite's SQLITE_MAX_EXPR_DEPTH.
+# Parsing, planning and both evaluators recurse on the expression tree in
+# Python, so an unbounded tree would surface as a RecursionError instead
+# of a ParseError.  MAX_EXPR_DEPTH bounds the tree's height (a 3,000-term
+# ``a + a + ...`` is a left-deep tree of height 3,000); MAX_EXPR_NESTING
+# bounds parenthesized, argument and list sub-expressions, each of which
+# costs the recursive-descent parser about ten stack frames.
+MAX_EXPR_DEPTH = 256
+MAX_EXPR_NESTING = 64
+
+
+def _expr_height(expr: ast.Expr) -> int:
+    """Height of an expression tree, walked without recursion."""
+    height = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            children = value if isinstance(value, tuple) else (value,)
+            stack.extend((child, depth + 1) for child in children
+                         if isinstance(child, ast.Expr))
+    return height
 
 
 def parse(sql: str) -> ast.Statement:
@@ -28,6 +55,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._nesting = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -495,7 +523,23 @@ class _Parser:
     # -- expressions (precedence climbing) --------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+        # a ParseError abandons the parser, so the counter needs no unwind
+        start = self._pos
+        if self._nesting >= MAX_EXPR_NESTING:
+            raise ParseError(f"expression nested too deeply (maximum "
+                             f"{MAX_EXPR_NESTING} levels)",
+                             self._peek().position)
+        self._nesting += 1
+        expr = self._parse_or()
+        self._nesting -= 1
+        # every tree node consumed at least one token, so only an
+        # expression longer than the limit can be higher than it
+        if (self._nesting == 0 and self._pos - start > MAX_EXPR_DEPTH
+                and _expr_height(expr) > MAX_EXPR_DEPTH):
+            raise ParseError(f"expression tree too deep (maximum depth "
+                             f"{MAX_EXPR_DEPTH})",
+                             self._tokens[start].position)
+        return expr
 
     def _parse_or(self) -> ast.Expr:
         left = self._parse_and()
@@ -510,9 +554,17 @@ class _Parser:
         return left
 
     def _parse_not(self) -> ast.Expr:
-        if self._match_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
+        if not self._match_keyword("NOT"):
+            return self._parse_comparison()
+        # prefix operators loop rather than recurse: the tree-height limit
+        # bounds a long run of them, not the parser's stack
+        count = 1
+        while self._match_keyword("NOT"):
+            count += 1
+        expr = self._parse_comparison()
+        for _ in range(count):
+            expr = ast.UnaryOp("NOT", expr)
+        return expr
 
     def _parse_comparison(self) -> ast.Expr:
         left = self._parse_additive()
@@ -563,9 +615,15 @@ class _Parser:
             left = ast.BinaryOp(op, left, self._parse_unary())
 
     def _parse_unary(self) -> ast.Expr:
-        if self._match_operator("-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        return self._parse_primary()
+        if not self._match_operator("-"):
+            return self._parse_primary()
+        count = 1
+        while self._match_operator("-"):
+            count += 1
+        expr = self._parse_primary()
+        for _ in range(count):
+            expr = ast.UnaryOp("-", expr)
+        return expr
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()

@@ -1,0 +1,130 @@
+"""Regression tests for SQL semantics checked against stdlib ``sqlite3``:
+three-valued ``IN``/``NOT IN`` with a NULL in the list, ``%`` as the SQL
+remainder (sign of the dividend), and over-deep expressions raising
+:class:`ParseError` rather than ``RecursionError``.
+
+Each sqlite-checked query runs on the row engine and on the batch engine,
+whose WHERE clauses go through the vectorized evaluators, so both
+evaluators are held to the same answer.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+
+import pytest
+
+import repro
+from repro.common.errors import ParseError
+from repro.exec.executor import Executor
+from repro.sql import parse
+from repro.sql.parser import MAX_EXPR_DEPTH, MAX_EXPR_NESTING
+
+ROWS = [(1, 7, "x", -7.5), (2, -7, "y", 7.5), (3, 3, None, 2.0),
+        (4, None, "x", None), (5, 0, "z", -2.0), (6, -3, "y", 0.5),
+        (7, 10, "w", 3.25)]
+
+SQLITE_QUERIES = [
+    "SELECT id FROM t WHERE a IN (3, NULL)",
+    "SELECT id FROM t WHERE a NOT IN (3, NULL)",
+    "SELECT id FROM t WHERE a NOT IN (3, -7)",
+    "SELECT id FROM t WHERE NOT (a IN (7, NULL))",
+    "SELECT id FROM t WHERE a IN (NULL)",
+    "SELECT id FROM t WHERE a NOT IN (NULL)",
+    "SELECT id, a IN (3, NULL), a NOT IN (3, NULL) FROM t",
+    "SELECT id FROM t WHERE s IN ('x', NULL)",
+    "SELECT id FROM t WHERE s NOT IN ('x', NULL)",
+    "SELECT id, s NOT IN ('x', NULL) FROM t",
+    "SELECT id, a % 3, a % -3, -a % 3, -a % -3 FROM t",
+    "SELECT id FROM t WHERE a % 3 = -1",
+    "SELECT id FROM t WHERE a % -4 = 3",
+    "SELECT id FROM t WHERE a % 2 <> 0",
+    "SELECT -7 % 3, 7 % -3, -7 % -3, 7 % 3",
+    "SELECT s, sum(a) % 4, sum(a) % -4 FROM t GROUP BY s",
+]
+
+
+@pytest.fixture(scope="module")
+def dbs():
+    db = repro.connect()
+    db.execute("CREATE TABLE t (id INT UNIQUE, a INT, s TEXT, b FLOAT)")
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE t (id INTEGER, a INTEGER, s TEXT, b REAL)")
+    for row in ROWS:
+        values = ", ".join("NULL" if v is None else repr(v) for v in row)
+        db.execute(f"INSERT INTO t VALUES ({values})")
+        oracle.execute(f"INSERT INTO t VALUES ({values})")
+    db.execute("ANALYZE")
+    yield db, oracle
+    oracle.close()
+
+
+def _normalized(rows):
+    """sqlite spells booleans 0/1; order is not part of these queries."""
+    out = [tuple(int(v) if isinstance(v, bool) else v for v in row)
+           for row in rows]
+    return sorted(out, key=repr)
+
+
+@pytest.mark.parametrize("engine", ["row", "batch"])
+@pytest.mark.parametrize("sql", SQLITE_QUERIES)
+def test_matches_sqlite(dbs, sql, engine):
+    db, oracle = dbs
+    plan = db.planner.plan_select(parse(sql))
+    got = Executor(db.catalog, db.clock, engine=engine).run(plan).rows
+    assert _normalized(got) == _normalized(oracle.execute(sql).fetchall())
+
+
+@pytest.mark.parametrize("engine", ["row", "batch"])
+def test_float_remainder_takes_the_dividend_sign(dbs, engine):
+    """sqlite truncates float operands of ``%`` to integers; here a float
+    operand gives the C ``fmod`` remainder, with the dividend's sign."""
+    db, _ = dbs
+    plan = db.planner.plan_select(parse(
+        "SELECT id, b % 2 FROM t WHERE b % 2 < 0"))
+    got = Executor(db.catalog, db.clock, engine=engine).run(plan).rows
+    assert sorted(got) == [(1, -1.5)]
+
+
+def test_integer_division_returns_a_float(dbs):
+    db, _ = dbs
+    assert db.execute("SELECT 7 / 2, -7 / 2").rows == [(3.5, -3.5)]
+
+
+OVER_DEEP = [
+    "SELECT " + "(" * 200 + "a" + ")" * 200 + " FROM t",
+    "SELECT " + " + ".join(["a"] * 3000) + " FROM t",
+    "SELECT id FROM t WHERE " + "NOT " * 3000 + "a = 1",
+    "SELECT " + "- " * 3000 + "a FROM t",
+    "SELECT id FROM t WHERE a IN (" + "(" * 100 + "1" + ")" * 100 + ")",
+]
+
+
+@pytest.mark.parametrize("sql", OVER_DEEP, ids=["parens", "chain", "not",
+                                                "minus", "in-item"])
+def test_over_deep_expressions_raise_parse_error(sql):
+    with pytest.raises(ParseError, match="too deep|nested too deeply"):
+        parse(sql)
+
+
+AT_LIMIT = [
+    "SELECT " + " + ".join(["a"] * MAX_EXPR_DEPTH) + " FROM t",
+    "SELECT id FROM t WHERE "
+    + " OR ".join(f"a = {i}" for i in range(MAX_EXPR_DEPTH // 2)),
+    "SELECT " + "(" * (MAX_EXPR_NESTING - 1) + "a"
+    + ")" * (MAX_EXPR_NESTING - 1) + " FROM t",
+    "SELECT id FROM t WHERE " + "NOT " * (MAX_EXPR_DEPTH - 2) + "a = 1",
+]
+
+
+@pytest.mark.parametrize("sql", AT_LIMIT, ids=["chain", "or", "parens",
+                                               "not"])
+def test_expressions_at_the_limit_run_everywhere(dbs, sql):
+    """The limits leave room for every later stage: the deepest accepted
+    expression plans and runs on every engine and under EXPLAIN ANALYZE."""
+    db, _ = dbs
+    plan = db.planner.plan_select(parse(sql))
+    results = [Executor(db.catalog, db.clock, engine=engine).run(plan).rows
+               for engine in ("row", "batch", "parallel", "distributed")]
+    assert all(rows == results[0] for rows in results)
+    db.execute("EXPLAIN ANALYZE " + sql)
