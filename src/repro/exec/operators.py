@@ -67,9 +67,9 @@ against the row engine by ``tests/test_columnar_kernels.py``:
   keeps a group of -0.0 values negative.  Blocks the kernel declines —
   DISTINCT, computed arguments, sum/avg/min/max over other column kinds,
   int sums that could leave exact-float range, min/max over a -0.0/0.0
-  tie — and all object, computed or multi-column keys take the mask or
-  per-row partition, which replays :meth:`_Accumulator.add_values` on
-  the same table.
+  tie — replay each factorized group's rows through
+  :meth:`_Accumulator.add_values` on the same table; object, computed or
+  multi-column keys do the same through the mask or per-row partition.
 * ORDER BY on typed slot keys keeps the input blocks and sorts them with
   one stable ``np.lexsort`` over rank arrays that encode
   :func:`_sort_key`'s total order (see :meth:`SortOp._rank_arrays`);
@@ -1105,17 +1105,17 @@ class AggregateOp(Operator):
     _MASK_PARTITION_MAX_KEYS = 32
 
     def _accumulate_by_column(self, block, table, mask=None) -> None:
-        """Single-column GROUP BY.  A typed key column goes through the
-        factorized kernel when every aggregate call allows it; otherwise
-        a few distinct keys partition with boolean masks — one C
-        comparison per key instead of a per-row dict loop — and many keys
-        (or NaN keys) take the per-row partition.  A deferred selection
+        """Single-column GROUP BY.  A typed key column is factorized (see
+        :meth:`_accumulate_factorized`).  An object key column with a few
+        distinct keys partitions with boolean masks — one C comparison
+        per key instead of a per-row dict loop — and with many keys (or
+        NaN keys) takes the per-row partition.  A deferred selection
         ``mask`` is AND-ed into each group's mask, so rejected rows are
         never materialized."""
         slot = self._group_sources[0][1]
         raw = block.columns[slot]
-        if (isinstance(raw, TypedColumn) and raw.kind != "obj"
-                and self._accumulate_factorized(block, raw, table, mask)):
+        if isinstance(raw, TypedColumn) and raw.kind != "obj":
+            self._accumulate_factorized(block, raw, table, mask)
             return
         col = block.column(slot)
         sel_col = col if mask is None else col[mask]
@@ -1199,11 +1199,9 @@ class AggregateOp(Operator):
         return inputs
 
     def _accumulate_factorized(self, block, keycol: TypedColumn, table,
-                               mask) -> bool:
+                               mask) -> None:
         """Single-column GROUP BY on a typed (i8/f8/bool/dict) key: one
-        array pass per block instead of per-row Python work.  Returns
-        False, having changed nothing, when an aggregate call needs the
-        per-group path (see :meth:`_kernel_inputs`).
+        array pass per block instead of per-row Python work.
 
         Keys factorize to dense per-block ids with ``np.unique``
         (dictionary strings through their int32 codes); new groups join
@@ -1213,26 +1211,28 @@ class AggregateOp(Operator):
         table's per-group arrays with ``ufunc.at``, which applies its
         updates strictly in row order — so each group's float total is
         the same left-to-right running sum the row engine computes,
-        carried across blocks, bit for bit."""
-        inputs = self._kernel_inputs(block, table, mask)
-        if inputs is None:
-            return False
+        carried across blocks, bit for bit.  When an aggregate call needs
+        the per-group path (see :meth:`_kernel_inputs`), each group's
+        rows are replayed through it instead, still in row order."""
         keys, first, inverse = _factorize(keycol, mask)
         if not keys:
-            return True
+            return
         index = table.index
         gids = np.array([index.get(key, -1) for key in keys], dtype=np.int64)
         fresh = np.flatnonzero(gids < 0)
+        rows = None if mask is None else np.flatnonzero(mask)
         if len(fresh):
             fresh = fresh[np.argsort(first[fresh], kind="stable")]
             gids[fresh] = np.arange(len(table), len(table) + len(fresh))
-            rows = first[fresh]
-            if mask is not None:
-                rows = np.flatnonzero(mask)[rows]
+            reps = first[fresh] if rows is None else rows[first[fresh]]
             table.extend([keys[j] for j in fresh.tolist()],
-                         [block.values_list(slot, rows)
+                         [block.values_list(slot, reps)
                           for slot in range(len(block.columns))])
         row_gids = gids[inverse]
+        inputs = self._kernel_inputs(block, table, mask)
+        if inputs is None:
+            self._replay_groups(block, table, row_gids, rows)
+            return
         size = len(table)
         for agg, entry in zip(table.aggs, inputs):
             if entry is None:
@@ -1243,7 +1243,28 @@ class AggregateOp(Operator):
             agg.counts[:size] += np.bincount(live_gids, minlength=size)
             if data is not None:
                 agg.fold(live_gids, data)
-        return True
+
+    def _replay_groups(self, block, table, row_gids, rows) -> None:
+        """The per-group path over factorized keys: each group's rows, in
+        row order, through :meth:`_AggColumn.add_values`.  ``rows`` maps
+        selected rows back to block rows (None: no selection)."""
+        order = np.argsort(row_gids, kind="stable")
+        cuts = np.flatnonzero(np.diff(row_gids[order])) + 1
+        gid_list = row_gids[order[np.r_[0, cuts]]].tolist()
+        if rows is not None:
+            order = rows[order]
+        call_arrays = self._call_arrays(block)
+        for gid, indices in zip(gid_list, np.split(order, cuts)):
+            for agg, entry in zip(table.aggs, call_arrays):
+                if entry is None:
+                    agg.counts[gid] += len(indices)
+                    continue
+                values, clean = entry
+                # a typed column reuses its one cached object view
+                picked = (values.values_list(indices)
+                          if isinstance(values, TypedColumn)
+                          else values[indices].tolist())
+                agg.add_values(gid, picked, clean)
 
     def _accumulate_by_rows(self, block, table) -> None:
         """General GROUP BY (multi-column or computed keys): per-row

@@ -7,8 +7,8 @@ engine and the unfused batch pull.  Rows must match bit for bit — floats
 by their IEEE-754 bit pattern, so ``-0.0`` never passes for ``0.0`` — in
 the same order, and charged virtual time must match per category.  Each
 batch run is repeated with both kernels switched off, which routes every
-block through the per-group / composite-key paths; against those runs
-the charges must be *exactly* equal, category by category.
+block through the per-row partition / composite-key sort; against those
+runs the charges must be *exactly* equal, category by category.
 
 The table spans two fused scan blocks (16,384 rows each) and carries the
 awkward values: NULL keys and arguments, ``-0.0``/``0.0`` keys, values
@@ -48,8 +48,9 @@ MIXED_QUERIES = [
     "SELECT nf, count(*), sum(n) FROM k GROUP BY nf",
 ]
 
-# (sql, aggregate path, sort path): which blocks the factorized kernel
-# takes, and whether the lexsort kernel sorts
+# (sql, aggregate path, sort path): on which blocks the factorized kernel
+# folds (rather than replaying groups), and whether the lexsort kernel
+# sorts; None when a kernel is never consulted
 QUERIES = [
     ("SELECT gi, count(*), count(v), sum(v), avg(v), min(v), max(v) "
      "FROM k GROUP BY gi", KERNEL, None),
@@ -75,7 +76,7 @@ QUERIES = [
      FALLBACK, None),
     ("SELECT gs, sum(n + 1) FROM k GROUP BY gs", FALLBACK, None),
     # nf holds NaN, so storage hands it out as an object column: the
-    # kernel declines it as an argument and is not offered it as a key
+    # kernel declines it as an argument and never sees it as a key
     (MIXED_QUERIES[0], FALLBACK, None),
     (MIXED_QUERIES[1], None, None),
     ("SELECT count(*), sum(v), min(gs), max(gs) FROM k", None, None),
@@ -161,21 +162,21 @@ class _Spy:
     def __init__(self, monkeypatch):
         self.agg: list[bool] = []
         self.sort: list[bool] = []
-        factorized = ops.AggregateOp._accumulate_factorized
+        kernel_inputs = ops.AggregateOp._kernel_inputs
         rank_arrays = ops.SortOp._rank_arrays
 
-        def spy_factorized(op, *args):
-            taken = factorized(op, *args)
-            self.agg.append(taken)
-            return taken
+        def spy_kernel_inputs(op, *args):
+            inputs = kernel_inputs(op, *args)
+            self.agg.append(inputs is not None)
+            return inputs
 
         def spy_rank_arrays(op, columns):
             ranks = rank_arrays(op, columns)
             self.sort.append(ranks is not None)
             return ranks
 
-        monkeypatch.setattr(ops.AggregateOp, "_accumulate_factorized",
-                            spy_factorized)
+        monkeypatch.setattr(ops.AggregateOp, "_kernel_inputs",
+                            spy_kernel_inputs)
         monkeypatch.setattr(ops.SortOp, "_rank_arrays", spy_rank_arrays)
 
     def path(self, taken: list[bool]) -> str | None:
@@ -187,8 +188,13 @@ class _Spy:
 
 
 def _disable_kernels(monkeypatch):
-    monkeypatch.setattr(ops.AggregateOp, "_accumulate_factorized",
-                        lambda op, *args: False)
+    """Typed GROUP BY keys take the per-row partition, every sort the
+    composite-key sort."""
+    def per_row(op, block, keycol, table, mask):
+        op._accumulate_by_rows(block if mask is None else block.select(mask),
+                               table)
+
+    monkeypatch.setattr(ops.AggregateOp, "_accumulate_factorized", per_row)
     monkeypatch.setattr(ops.SortOp, "_rank_arrays",
                         lambda op, columns: None)
 
@@ -242,9 +248,9 @@ def test_grouped_float_sums_are_running_sums(kernel_db):
 def test_typed_and_object_blocks_share_one_group_state(kernel_db,
                                                        monkeypatch, sql):
     """nf's NaN-free rows as a typed f8 block, then its NaN rows as an
-    object block, into one aggregation state: the first block takes the
-    factorized kernel, the second the per-row path, and the result still
-    matches the row engine bit for bit."""
+    object block, into one aggregation state: the first block folds
+    through the factorized kernel, the second goes per group, and the
+    result still matches the row engine bit for bit."""
     table = kernel_db.catalog.table("k")
     rows = [row for _, row in table.scan()]
     plan = kernel_db.planner.plan_select(parse(sql))
@@ -262,7 +268,7 @@ def test_typed_and_object_blocks_share_one_group_state(kernel_db,
         op.absorb_block(RowBlock(op._child.layout, columns, len(part)),
                         state, SimClock())
     assert [c.kind for c in columns][-1] == "obj"
-    # an object key is not offered to the kernel, an object argument is
-    # declined by it
+    # an object argument is declined by the kernel, an object key never
+    # reaches it
     assert spy.agg[0] and not any(spy.agg[1:])
     assert _bits(op.finish_state(state).to_rows()) == _bits(expected)
