@@ -15,7 +15,10 @@ holds the engine constant and varies only the topology.
 Also swept here: a broadcast join and a narrow aggregate (exchange-light
 shapes, reported but not floor-gated), per-shape shuffle-byte
 accounting, and a targeted ``slow_node`` skew run reporting per-node
-busy seconds and NIC queue depths.
+busy seconds and NIC queue depths.  Each shape is also timed on batch,
+parallel and distributed in the same run (best of interleaved runs):
+the placed engines execute the batch pipeline once, so their wall clock
+is gated at :data:`WALL_RATIO_BOUND` of batch's.
 
 CI smoke mode (``BENCH_SMOKE=1``): tiny scale, relaxed floor, JSON to a
 scratch path so the committed trajectory isn't clobbered.
@@ -27,6 +30,7 @@ import os
 import tempfile
 
 import repro
+from _wall import wall_ratios
 from repro.bench.reporting import write_bench_json
 from repro.common import categories as cat
 from repro.common.faults import FaultPlan
@@ -40,6 +44,10 @@ BUFFER_PAGES = 256 if SMOKE else 512   # a fraction of the table: cold scans
 NODE_SWEEP = (1, 2, 4) if SMOKE else (1, 2, 4, 8)
 WORKERS = 2
 SPEEDUP_FLOOR_AT_4 = 1.2 if SMOKE else 2.5
+#: parallel / distributed wall clock over batch's, same run; relaxed at
+#: smoke scale, where fixed per-query costs dominate the tiny tables
+WALL_RATIO_BOUND = 2.0 if SMOKE else 1.2
+PLACED = {"parallel": {"workers": 4}, "distributed": {"nodes": 4}}
 
 #: categories that may differ across node counts; everything else is
 #: compute and must stay bit-identical
@@ -141,6 +149,7 @@ def test_distributed_engine_scaling():
                 "tasks": stats["tasks"],
             })
 
+        wall = wall_ratios(db, plan, PLACED)
         report_workloads.append({
             "name": workload["name"],
             "sql": workload["sql"],
@@ -148,6 +157,7 @@ def test_distributed_engine_scaling():
             "batch_engine": {
                 "virtual_seconds": round(base.virtual_seconds, 6)},
             "distributed_engine": curve,
+            "wall_clock": wall,
         })
 
         print(f"\n{workload['name']} over {ROWS} rows x {SHARDS} shards "
@@ -159,6 +169,12 @@ def test_distributed_engine_scaling():
                   f"{point['rows_shuffled']} rows shuffled, "
                   f"{point['bytes_on_wire']} bytes on wire)")
 
+        print(f"  wall clock: batch {wall['wall_seconds']['batch'] * 1e3:.1f}"
+              f" ms, vs batch {wall['ratio_vs_batch']}")
+        for engine, ratio in wall["ratio_vs_batch"].items():
+            assert ratio <= WALL_RATIO_BOUND, (
+                f"{workload['name']}: {engine} wall clock {ratio:.2f}x "
+                f"batch's (bound {WALL_RATIO_BOUND}x)")
         if workload["gate"]:
             speedup = spans[NODE_SWEEP[0]] / spans[4]
             assert speedup >= SPEEDUP_FLOOR_AT_4, (
@@ -201,7 +217,10 @@ def test_distributed_engine_scaling():
         "metric": ("rows per virtual second; distributed elapsed = modeled "
                    "makespan (per-node serial IO + worker lanes + exchange "
                    "placement on per-node NICs); compute charges are "
-                   "asserted bit-identical across the node sweep"),
+                   "asserted bit-identical across the node sweep; "
+                   "wall_clock = best of 7 interleaved runs of batch, "
+                   "parallel (4 workers) and distributed (4 nodes) on this "
+                   "machine"),
         "workloads": report_workloads,
         "slow_node_skew": skew_report,
     }
@@ -209,4 +228,5 @@ def test_distributed_engine_scaling():
         RESULT_PATH, report, smoke=SMOKE, seeds={"fault_seed": 0},
         workload={"rows": ROWS, "shards": SHARDS, "workers": WORKERS,
                   "node_sweep": NODE_SWEEP, "buffer_pages": BUFFER_PAGES,
-                  "speedup_floor_at_4": SPEEDUP_FLOOR_AT_4})
+                  "speedup_floor_at_4": SPEEDUP_FLOOR_AT_4,
+                  "wall_ratio_bound": WALL_RATIO_BOUND})

@@ -284,58 +284,33 @@ def map_scan_blocks(table, process: Callable[[RowBlock, SimClock], object],
     earlier pages entirely (tail scans for recency windows).
 
     The single scan-shaping routine both AI materialization paths
-    (training sets and prediction inputs) run on:
+    (training sets and prediction inputs) run on: the streaming column
+    scan via :func:`~repro.exec.pipeline.table_blocks` (the same
+    scan-block primitive the fused pipeline sources use), each batch of
+    ``batch_size`` rows (the final one may be short) processed inline
+    against ``clock``.
 
-    * ``workers=1`` — the streaming column scan via
-      :func:`~repro.exec.pipeline.table_blocks` (the same scan-block
-      primitive the fused pipeline sources use), blocks processed inline
-      against ``clock``.
-    * ``workers>1`` — morsel-parallel: the scan splits into morsels via
-      :meth:`~repro.storage.heap.HeapTable.scan_morsels` and a
-      :class:`~repro.exec.parallel.MorselScheduler` fans ``process`` out
-      across the worker pool.  Each task charges a private shard clock;
-      the scheduler's :class:`~repro.common.simtime.WorkerClocks` merge
-      the shard charges back into ``clock`` in morsel order, so the
-      charged *total* is the same multiset of charges as the streaming
-      scan — parity-identical virtual time, with the modeled makespan
-      shrinking as workers grow.
-
-    Either way each batch holds ``batch_size`` rows (the final one may be
-    short), so the two paths see identical block boundaries and therefore
-    charge identical per-block amounts.
-
+    With ``workers > 1`` each batch is a morsel task of the placement
+    model (:meth:`~repro.exec.distributed.DistributedScheduler.map`):
     ``faults`` / ``retry_limit`` thread the caller's fault plan and retry
-    budget into the scheduler (see :mod:`repro.common.faults`), so PREDICT
+    budget into it (see :mod:`repro.common.faults`), so PREDICT
     materialization recovers from injected worker crashes and transient
-    task errors exactly like query execution; the serial path has no
-    injection sites (its fault surface is the storage layer).
+    task errors exactly like query execution.  The single-worker path has
+    no injection sites (its fault surface is the storage layer).
     """
+    from repro.exec.pipeline import table_blocks
     schema = table.schema
     layout = RowLayout([(schema.table_name, c.name)
                         for c in schema.columns])
-    kinds = schema_kinds(schema)
-    if workers <= 1:
-        from repro.exec.pipeline import table_blocks
-        lane = clock if clock is not None else SimClock()
-        return [process(block, lane)
-                for block in table_blocks(table, layout, kinds, batch_size,
-                                          start_page)]
-    from repro.exec.parallel import MorselScheduler
+    lane = clock if clock is not None else SimClock()
+    blocks = table_blocks(table, layout, schema_kinds(schema), batch_size,
+                          start_page)
+    if workers <= 1 or faults is None:
+        return [process(block, lane) for block in blocks]
+    from repro.exec.distributed import DistributedScheduler
     kwargs = {} if retry_limit is None else {"retry_limit": retry_limit}
-    scheduler = MorselScheduler(clock if clock is not None else SimClock(),
-                                workers=workers, morsel_rows=batch_size,
-                                faults=faults, **kwargs)
-    morsels = table.scan_morsels(batch_size, start_page)
-    try:
-        return scheduler.map(
-            morsels,
-            lambda morsel, shard: process(
-                RowBlock(layout, morsel[0], morsel[1], kinds), shard))
-    finally:
-        # merge worker charges even when a morsel raises: a failing scan
-        # must leave its partial charges behind, exactly like the
-        # streaming path (and MorselScheduler.run's finally block)
-        scheduler.finish()
+    return DistributedScheduler(lane, nodes=1, workers=workers,
+                                faults=faults, **kwargs).map(blocks, process)
 
 
 def table_column_stream(table, feature_columns: list[str],

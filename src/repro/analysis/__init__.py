@@ -1,4 +1,4 @@
-"""Static invariant analysis for the reproduction's three hand-enforced
+"""Static invariant analysis for the reproduction's hand-enforced
 guarantees.
 
 Everything this repo claims rests on invariants no type checker sees:
@@ -10,15 +10,10 @@ Everything this repo claims rests on invariants no type checker sees:
   are asserted by the parity suite and the benchmarks.  A typo'd
   category literal opens a fresh bucket and quietly drains the one the
   tests watch.
-* **Parallel-hook thread safety** — morsel workers run operator hooks
-  concurrently; the contract is "stateless after construction".  An
-  unlocked shared-attribute write in a worker-executed hook is a race
-  the GIL usually hides.
 
-This package checks all three statically (AST passes over ``src/repro``,
-run by ``tools/analyze.py`` and blocking in CI) and the third one
-dynamically as well (the opt-in lockset sanitizer, ``REPRO_SANITIZE=1``).
-See ``docs/analysis.md`` for the rule catalogue and pragma syntax.
+This package checks both statically (AST passes over ``src/repro``, run
+by ``tools/analyze.py`` and blocking in CI).  See ``docs/analysis.md``
+for the rule catalogue and pragma syntax.
 """
 
 from repro.analysis.charges import ChargeCategoryPass
@@ -35,15 +30,9 @@ from repro.analysis.core import (
     unsuppressed,
 )
 from repro.analysis.determinism import DeterminismPass
-from repro.analysis.races import RaceAnalysisPass
-from repro.analysis.sanitizer import (
-    SanitizerViolation,
-    sanitizer,
-    sanitizer_enabled,
-)
 
 #: The default pass lineup, in report order.
-ALL_PASSES = (DeterminismPass, ChargeCategoryPass, RaceAnalysisPass)
+ALL_PASSES = (DeterminismPass, ChargeCategoryPass)
 
 __all__ = [
     "ALL_PASSES",
@@ -52,15 +41,11 @@ __all__ = [
     "DeterminismPass",
     "Finding",
     "ModuleSource",
-    "RaceAnalysisPass",
-    "SanitizerViolation",
     "Severity",
     "load_module",
     "load_tree",
     "render_findings",
     "render_json",
     "run_passes",
-    "sanitizer",
-    "sanitizer_enabled",
     "unsuppressed",
 ]

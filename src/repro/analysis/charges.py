@@ -24,17 +24,16 @@ sequence), and checks it:
     *warning* for review: the analyzer cannot prove it against the
     registry.  Forwarding helpers whose category is a verbatim
     parameter pass-through (the clock's own internals,
-    ``HeapTable._charge``, ``ReplicatedTable._charge``,
-    ``WorkerClocks.merge_into``) are allowlisted by symbol — their
-    *callers* are the real charge sites and are checked instead.
+    ``HeapTable._charge``, ``ReplicatedTable._charge``) are allowlisted
+    by symbol — their *callers* are the real charge sites and are
+    checked instead.
 
 ``untraced-clock``
     A bare ``SimClock()`` construction outside the clock module itself.
     Charges on a privately constructed clock never reach an attached
     tracer, so the observability layer's reconciliation invariant
-    (span totals == clock breakdown) silently loses them: worker shards
-    must come from ``SimClock.shard()`` and components must accept the
-    session clock.  The standalone default fallback —
+    (span totals == clock breakdown) silently loses them: components
+    must accept the session clock.  The standalone default fallback —
     ``clock if clock is not None else SimClock()`` — is exempt
     structurally: it only fires when there is no session clock (and
     hence no tracer) in play.
@@ -63,7 +62,7 @@ _CLOCK_PRAGMA = "untraced-clock-ok"
 
 #: charge method name -> positional index of the category argument
 CHARGE_METHODS = {"advance": 1, "advance_batch": 2, "advance_to": 1,
-                  "absorb": 1, "_charge": 1}
+                  "_charge": 1}
 
 #: absolute module path of the registry, as the import map resolves it
 _REGISTRY_MODULE = "repro.common.categories"
@@ -81,7 +80,6 @@ class ChargeCategoryPass(AnalysisPass):
         "untraced-clock": _CLOCK_PRAGMA,
     }
     # the clock itself forwards categories between its own entry points
-    # (and shard()/WorkerClocks legitimately construct bare clocks)
     path_allowlist = ("repro/common/simtime.py",)
     # verbatim parameter pass-throughs: the category is checked at their
     # call sites, which this pass also visits
@@ -89,11 +87,6 @@ class ChargeCategoryPass(AnalysisPass):
         "repro/storage/heap.py::HeapTable._charge":
             ("dynamic-category",),
         "repro/storage/replica.py::ReplicatedTable._charge":
-            ("dynamic-category",),
-        # the pipeline sink API's absorb(block, clock) shares a name with
-        # SimClock.absorb(seconds, category); its second argument is a
-        # clock, not a category
-        "repro/exec/pipeline.py::PipelineSink.absorb_carrier":
             ("dynamic-category",),
         # the session root clock: tracers attach *to* this one
         "repro/db.py::NeurDB.__init__": ("untraced-clock",),
@@ -114,8 +107,7 @@ class ChargeCategoryPass(AnalysisPass):
                     pragma=_CLOCK_PRAGMA,
                     message="bare SimClock() construction: charges on a "
                             "private clock never reach an attached tracer "
-                            "— shard from the session clock "
-                            "(clock.shard()) or accept it as a "
+                            "— accept the session clock as a "
                             "parameter with a guarded default")))
             if not isinstance(node.func, ast.Attribute):
                 continue

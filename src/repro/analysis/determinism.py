@@ -3,9 +3,9 @@ paths.
 
 The repo's headline invariant is bit-identical results and charged
 virtual time across engines, worker counts, and fault schedules (see
-``docs/parallel.md``, ``docs/faults.md``).  Four source patterns can
+``docs/distributed.md``, ``docs/faults.md``).  Four source patterns can
 break it without failing any unit test until a parity sweep happens to
-hit the right interleaving:
+hit them:
 
 ``unseeded-rng``
     Any use of the stdlib ``random`` module's global generator, numpy's

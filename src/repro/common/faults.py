@@ -1,12 +1,12 @@
 """Deterministic fault injection: seeded chaos for the whole engine.
 
 The ROADMAP's distributed-execution north star needs every layer to
-survive failures — worker crashes in the morsel scheduler, replica nodes
-going down under the storage layer, transient errors and refresh failures
-in the serving subsystem.  Testing that recovery is only trustworthy when
-the chaos itself is *exactly reproducible*: the same seed must kill the
-same worker on the same morsel on every run, on every thread interleaving,
-on every machine.
+survive failures — worker crashes in the placement model's morsel tasks,
+replica nodes going down under the storage layer, transient errors and
+refresh failures in the serving subsystem.  Testing that recovery is only
+trustworthy when the chaos itself is *exactly reproducible*: the same seed
+must kill the same worker on the same morsel on every run, at every
+worker count, on every machine.
 
 This module provides that substrate.  A :class:`FaultPlan` arms a set of
 :class:`FaultSpec` descriptions; injection sites around the codebase ask
@@ -14,12 +14,11 @@ the plan whether a fault fires at a given *site* (a string naming the
 opportunity, e.g. ``"2:17:0"`` for phase 2, morsel 17, attempt 0).  The
 decision is a **pure function** of ``(seed, kind, scope, site)`` through
 the process-independent FNV hash in :mod:`repro.common.rng` — no shared
-mutable counters, no RNG state, nothing a thread race could perturb.  Two
+mutable counters, no RNG state, nothing the topology could perturb.  Two
 consequences:
 
 * **Determinism** — for a fixed seed and plan, the exact multiset of
-  faults injected into a run is identical regardless of worker count or
-  OS scheduling.  The fault-sweep parity suite leans on this: it asserts
+  faults injected into a run is identical regardless of worker count.  The fault-sweep parity suite leans on this: it asserts
   recovered results are bit-identical to the fault-free run under any
   seed.
 * **Retry divergence** — a *retried* unit of work must be allowed to
@@ -32,7 +31,7 @@ consequences:
   morsel.
 
 Faults are resolved against the repo's virtual clocks: a ``slow_worker``
-fault charges extra virtual seconds to the shard clock it hits, and every
+fault charges extra virtual seconds to the task it hits, and every
 recovery mechanism (crash re-execution, retry backoff, failover) charges
 its cost in virtual time, so recovery overhead is measurable in
 ``BENCH_faults.json`` exactly like any other modeled cost.
@@ -43,20 +42,20 @@ Fault kinds and where they fire
 ===============  ======================================  =====================
 kind             injection site                          effect
 ===============  ======================================  =====================
-``task_error``   morsel task (``exec/parallel.py``)      raises
+``task_error``   morsel task (``exec/distributed.py``)   raises
                                                          :class:`TransientError`;
                                                          retried up to the
                                                          scheduler's budget
 ``worker_crash`` morsel task                             raises
                                                          :class:`WorkerCrash`
                                                          *after* the work ran:
-                                                         the result is lost,
-                                                         the charges are kept,
-                                                         a survivor re-executes
+                                                         the attempt's charges
+                                                         are kept and charged
+                                                         again for the retry
 ``slow_worker``  morsel task                             charges ``latency``
                                                          extra virtual seconds
-                                                         on the shard clock
-``slow_node``    shard-local node task                   charges ``latency``
+                                                         on the task
+``slow_node``    morsel task on node ``target``          charges ``latency``
                  (``exec/distributed.py``)               extra virtual seconds
                                                          on every task the
                                                          slow node runs;
@@ -82,7 +81,6 @@ kind             injection site                          effect
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.common.errors import (NeurDBError, ReplicaUnavailable,
@@ -160,9 +158,7 @@ class FaultPlan:
     then hand it to the components under test (``Executor(faults=plan)``,
     ``connect(faults=plan)``, ``PredictServer(db, faults=plan)``,
     ``ReplicatedTable(..., faults=plan)``).  Decisions are pure functions
-    of the seed and the site (see the module docstring), so a plan is
-    shareable across threads with no locking on the decision path; only
-    the injection *log* takes a lock.
+    of the seed and the site (see the module docstring).
     """
 
     def __init__(self, seed: int = 0,
@@ -170,7 +166,6 @@ class FaultPlan:
         self.seed = int(seed)
         self._specs: list[FaultSpec] = list(specs)
         self.injected: list[InjectedFault] = []
-        self._lock = threading.Lock()
         self._scopes = 0
 
     # -- arming ------------------------------------------------------------
@@ -212,13 +207,12 @@ class FaultPlan:
     def scope(self, label: str = "run") -> str:
         """A fresh scope token for one schedulable unit of work (one
         scheduler instance, one query attempt).  Monotone and handed out
-        in program order on the calling thread, so runs that construct
+        in program order, so runs that construct
         their schedulers in deterministic order get deterministic scopes —
         while a *retried* query gets a new scope and therefore fresh
         rolls."""
-        with self._lock:
-            self._scopes += 1
-            return f"{label}#{self._scopes}"
+        self._scopes += 1
+        return f"{label}#{self._scopes}"
 
     # -- decisions ---------------------------------------------------------
 
@@ -251,8 +245,7 @@ class FaultPlan:
             if fired:
                 record = InjectedFault(kind=kind, site=site, target=target,
                                        spec=spec)
-                with self._lock:
-                    self.injected.append(record)
+                self.injected.append(record)
                 return spec
         return None
 
@@ -278,19 +271,16 @@ class FaultPlan:
 
     def count(self, kind: str | None = None) -> int:
         """Faults injected so far (optionally of one kind).  Counts are
-        deterministic for a fixed seed; log *order* may vary with thread
-        interleaving and is not part of the contract."""
-        with self._lock:
-            if kind is None:
-                return len(self.injected)
-            return sum(1 for f in self.injected if f.kind == kind)
+        deterministic for a fixed seed."""
+        if kind is None:
+            return len(self.injected)
+        return sum(1 for f in self.injected if f.kind == kind)
 
     def counts(self) -> dict[str, int]:
         """Injected-fault counts by kind (deterministic per seed)."""
         out: dict[str, int] = {}
-        with self._lock:
-            for fault in self.injected:
-                out[fault.kind] = out.get(fault.kind, 0) + 1
+        for fault in self.injected:
+            out[fault.kind] = out.get(fault.kind, 0) + 1
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -34,10 +34,9 @@ class SimClock:
     float math — with and without a tracer the clock performs the same
     ``+=`` sequence on the same values, which is what keeps traced runs
     bit-identical to untraced ones (asserted in ``tests/test_obs.py``).
-    ``_tracer_folds`` marks the clock the tracer mirrors exactly (the
-    query's shared clock); shard clocks created via :meth:`shard` notify
-    for *attribution* only, since their charges reach the shared clock
-    later through :meth:`absorb`.
+    A ``recorder`` (the placement model of ``repro/exec/distributed.py``
+    while it runs a query) is notified the same way, through
+    ``recorder.charge(category, seconds)``.
     """
 
     def __init__(self) -> None:
@@ -45,7 +44,7 @@ class SimClock:
         self._by_category: dict[str, float] = defaultdict(float)
         self._limit: float | None = None
         self.tracer = None
-        self._tracer_folds = True
+        self.recorder = None
 
     @property
     def now(self) -> float:
@@ -67,8 +66,10 @@ class SimClock:
         self._by_category[category] += seconds
         tracer = self.tracer
         if tracer is not None:
-            tracer.on_charge(category, seconds, count,
-                             fold=self._tracer_folds)
+            tracer.on_charge(category, seconds, count)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.charge(category, seconds)
         if self._limit is not None and self._now > self._limit:
             raise BudgetExceeded(f"virtual-time budget {self._limit} exceeded")
         return self._now
@@ -87,43 +88,6 @@ class SimClock:
         if count == 0:
             return self._now
         return self._advance(per_item * count, category, count)
-
-    def absorb(self, seconds: float, category: str = "misc") -> float:
-        """:meth:`advance`, for charges already *attributed* elsewhere.
-
-        :meth:`WorkerClocks.merge_into` replays shard-clock breakdowns
-        onto the shared clock; those charges were seen by the tracer once
-        at their original site (span attribution and event counts), so
-        the replay must only *fold* — keep the tracer's float mirror in
-        lockstep with this clock — without attributing or counting the
-        work a second time.
-        """
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time {seconds!r}")
-        self._now += seconds
-        self._by_category[category] += seconds
-        tracer = self.tracer
-        if tracer is not None and self._tracer_folds:
-            tracer.on_fold(category, seconds)
-        if self._limit is not None and self._now > self._limit:
-            raise BudgetExceeded(f"virtual-time budget {self._limit} exceeded")
-        return self._now
-
-    def shard(self) -> "SimClock":
-        """A fresh clock whose charges the attached tracer still sees.
-
-        The morsel scheduler's worker tasks charge private shard clocks
-        that are later folded into the shared clock; constructing them
-        through ``shard()`` (instead of a bare ``SimClock()``) keeps every
-        charge site reachable by the tracer — the invariant the
-        ``untraced-clock`` analysis rule enforces.  Shard charges notify
-        for attribution only (``fold=False``): the shared clock's
-        :meth:`absorb` folds them when the phase closes.
-        """
-        child = SimClock()
-        child.tracer = self.tracer
-        child._tracer_folds = False
-        return child
 
     def advance_charges(self, charges) -> float:
         """Charge an ordered sequence of ``(per_item, count, category)``
@@ -148,12 +112,7 @@ class SimClock:
 
     @property
     def limit(self) -> float | None:
-        """The armed budget limit (absolute virtual time), or None.
-
-        The morsel scheduler reads this to enforce the budget at phase
-        boundaries: worker charges accumulate on shard clocks that carry
-        no limit of their own, so the shared clock's limit must be checked
-        explicitly when a phase's charges are folded in."""
+        """The armed budget limit (absolute virtual time), or None."""
         return self._limit
 
     def advance_to(self, when: float, category: str = "wait") -> float:
@@ -179,105 +138,15 @@ class SimClock:
         return f"SimClock(now={self._now:.6f})"
 
 
-class WorkerClocks:
-    """Per-worker virtual-time accounting for the morsel-driven engine.
-
-    The parallel executor cannot charge worker costs straight to the query's
-    shared :class:`SimClock`: concurrent ``advance`` calls would race, and a
-    single accumulator could not distinguish "total work done" from "time a
-    multicore would actually take".  Instead every morsel task charges a
-    private shard clock, plus one ``serial_lane`` clock for the parts of
-    the query that cannot be parallelized (merge steps, order-sensitive
-    operators, spill surcharges).
-
-    When a phase closes, its task charges are *list-scheduled in morsel
-    order onto W virtual workers* — each task goes to the earliest-free
-    worker, exactly the pull-the-next-morsel dispatch a real morsel
-    scheduler performs.  Modeling the assignment in virtual time (rather
-    than reading back which OS thread really ran what) keeps the makespan
-    deterministic and decoupled from the GIL's thread interleaving, which
-    single-process Python could never make representative anyway (see the
-    module docstring).
-
-    Two quantities fall out:
-
-    * ``total()`` — the plain sum of every charge on every task shard and
-      the serial lane.  By construction this equals what the serial batch
-      engine would have charged for the same query (each per-row cost is
-      charged exactly once, on whichever clock ran the row), so
-      :meth:`merge_into` reproduces the serial engines' virtual-time totals
-      on the shared clock — the invariant the parity suite asserts.
-    * ``makespan()`` — the modeled parallel elapsed time: the serial lane
-      runs alone, and each parallel phase contributes only its most-loaded
-      virtual worker's time.  This is what a real multicore's wall clock
-      would show, and what the scaling benchmark measures.
-    """
-
-    def __init__(self, tracer=None) -> None:
-        self.serial_lane = SimClock()
-        if tracer is not None:
-            # attribution-only, like shard clocks: the serial lane's
-            # charges reach the shared clock via merge_into/absorb
-            self.serial_lane.tracer = tracer
-            self.serial_lane._tracer_folds = False
-        self.phases = 0
-        self._parallel_total = 0.0
-        self._parallel_makespan = 0.0
-        self._breakdowns: list[dict[str, float]] = []
-        #: when set to a list (by a tracing scheduler), close_phase appends
-        #: one ``(phase, task_index, worker, start, end)`` placement per
-        #: shard, in morsel order — the virtual worker timeline that the
-        #: Chrome trace export renders
-        self.placements: list[tuple[int, int, int, float, float]] | None = None
-
-    def close_phase(self, task_clocks: list["SimClock"],
-                    workers: int) -> None:
-        """Absorb one phase's per-task shard clocks (in morsel order),
-        list-scheduling them onto ``workers`` virtual workers."""
-        if not task_clocks:
-            return
-        self.phases += 1
-        base = self.makespan()
-        loads = [0.0] * max(1, workers)
-        for index, shard in enumerate(task_clocks):
-            earliest = min(range(len(loads)), key=loads.__getitem__)
-            if self.placements is not None:
-                self.placements.append(
-                    (self.phases, index, earliest,
-                     base + loads[earliest],
-                     base + loads[earliest] + shard.now))
-            loads[earliest] += shard.now
-            self._parallel_total += shard.now
-            if shard.now:
-                self._breakdowns.append(shard.breakdown())
-        self._parallel_makespan += max(loads)
-
-    def total(self) -> float:
-        """Sum of all charges — equals the serial engines' total."""
-        return self._parallel_total + self.serial_lane.now
-
-    def makespan(self) -> float:
-        """Modeled parallel elapsed: serial lane + per-phase max load."""
-        return self._parallel_makespan + self.serial_lane.now
-
-    def merge_into(self, clock: SimClock) -> None:
-        """Charge everything accumulated here onto ``clock``, preserving
-        per-category breakdowns, in a deterministic order (serial lane
-        first, then shards in phase/worker order) so repeated runs charge
-        float-identical totals."""
-        for breakdown in (self.serial_lane.breakdown(), *self._breakdowns):
-            for category, seconds in breakdown.items():
-                clock.absorb(seconds, category)
-
-
 class LaneSchedule:
     """Earliest-free-lane assignment over a virtual timeline.
 
-    The serving subsystem (``repro/serve``) models concurrency the same way
-    :class:`WorkerClocks` models the morsel scheduler: work is *executed*
-    in deterministic program order, but its *placement in virtual time* is
-    decided by a simple scheduling rule — here, each unit of work starts on
-    the earliest-free lane, no earlier than its ready time.  One
+    The serving subsystem (``repro/serve``) and the placement model of the
+    parallel and distributed engines (``repro/exec/distributed.py``) model
+    concurrency this way: work is *executed* in deterministic program
+    order, but its *placement in virtual time* is decided by a simple
+    scheduling rule — here, each unit of work starts on the earliest-free
+    lane, no earlier than its ready time.  One
     ``LaneSchedule`` with ``lanes=1`` is a serial queue (the background
     refresh worker); with ``lanes=k`` it models ``k`` concurrent serving
     lanes sharing a request queue.
@@ -356,8 +225,7 @@ class NetworkModel:
     The clock is charged through the ordinary ``advance`` surface, so an
     attached tracer sees every network charge at its site and the
     ``EXPLAIN ANALYZE`` reconciliation (span totals == clock breakdown)
-    keeps holding; shard clocks from :meth:`SimClock.shard` work the
-    same way.
+    keeps holding.
     """
 
     def __init__(self, nodes: int) -> None:

@@ -241,8 +241,8 @@ class NeurDB:
         if isinstance(statement, ast.Explain):
             return self._run_explain(statement, force_retrain)
         if isinstance(statement, (ast.Begin, ast.Commit, ast.Rollback)):
-            # The facade runs autocommit; full concurrency control lives in
-            # repro.txn / repro.txnsim where contention actually exists.
+            # The facade runs autocommit; concurrency control is simulated
+            # in repro.txnsim, where contention actually exists.
             return _status(type(statement).__name__.upper())
         raise NeurDBError(f"unsupported statement {type(statement).__name__}")
 

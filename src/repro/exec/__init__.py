@@ -1,16 +1,17 @@
 """Query execution: expression compiler, operators, and the executor.
 
-Three engines share one operator tree: the vectorized batch engine
-(default), the morsel-driven parallel engine layered on top of it, and the
-legacy row-at-a-time engine — see docs/execution.md and docs/parallel.md.
+Engines share one operator tree: the vectorized batch engine (default),
+the parallel and distributed engines that place its recorded charges on
+modeled workers and nodes, and the legacy row-at-a-time engine — see
+docs/execution.md and docs/distributed.md.
 """
 
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock, rows_to_blocks
 from repro.exec.executor import Executor, ResultSet
-from repro.exec.parallel import (
+from repro.exec.distributed import (
     DEFAULT_MORSEL_ROWS,
     DEFAULT_WORKERS,
-    MorselScheduler,
+    DistributedScheduler,
 )
 from repro.exec.expr import (
     RowLayout,
@@ -25,8 +26,8 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_MORSEL_ROWS",
     "DEFAULT_WORKERS",
+    "DistributedScheduler",
     "Executor",
-    "MorselScheduler",
     "ResultSet",
     "RowBlock",
     "RowLayout",

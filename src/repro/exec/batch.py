@@ -16,8 +16,7 @@ per-batch dispatch (numpy call overhead, one clock charge per batch), small
 enough to stay cache-resident.  1024 follows the usual vectorized-engine
 sweet spot (MonetDB/X100 uses ~1k values per vector).
 
-Invariants every RowBlock maintains, which operators and the parallel
-scheduler rely on:
+Invariants every RowBlock maintains, which operators rely on:
 
 * **Exact round-trip** — ``iter_rows()``/``to_rows()`` return the original
   Python objects, identity included; no conversion ever rewrites a stored
@@ -29,8 +28,7 @@ scheduler rely on:
 * **Immutability of shared arrays** — columns handed in by scan producers
   are shared snapshots of the columnar page cache; consumers only mask,
   slice, or read them.  ``select``/``slice`` build new blocks (and carry
-  the derived-view caches along) rather than mutating in place.  This is
-  what makes a block safe to hand to a worker thread.
+  the derived-view caches along) rather than mutating in place.
 * **Order** — ``select`` and ``slice`` preserve row order; a block never
   reorders rows on its own.
 """

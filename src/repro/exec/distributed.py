@@ -1,245 +1,275 @@
-"""Sharded distributed execution: exchange pipelines over a modeled network.
+"""The placement model: parallel and distributed execution as schedules of
+recorded charges over one run of the fused pipeline.
 
-The distributed scheduler executes the same compiled pipeline programs
-(:func:`~repro.exec.pipeline.compile_pipelines`) as the batch and
-morsel-parallel engines, but places the work on ``N`` virtual *nodes*:
-each shard of a :class:`~repro.storage.sharded.ShardedTable` is pinned to
-node ``shard % nodes`` and its scan->filter->partial-aggregate fragment
-runs node-local, charging node-local page I/O and per-morsel compute.
-Between fragments, data moves through **exchanges** over the
-:class:`~repro.common.simtime.NetworkModel`:
+Neither scale-out engine executes anything its own way.  The query runs
+once, serially, through the fused driver in :mod:`repro.exec.pipeline`,
+charging the shared clock exactly as the batch engine does (budgets fire
+at the charge that crosses them).  What changes is *bookkeeping*: every
+scan pipeline is split into tasks — one per morsel of
+:data:`DEFAULT_MORSEL_ROWS` rows, morsels never spanning a shard — and the
+:class:`DistributedScheduler` attached to the clock as its ``recorder``
+files every charge under the task, the node's page I/O, the network, or
+the coordinator's serial lane.  Each task also records the rows and
+modeled bytes it hands downstream.  The parallel engine is the
+``nodes=1`` case of the same model.
 
-* **shuffle** — wide GROUP BY repartitions per-morsel aggregate partials
-  by group-key hash across the nodes (``AggregateOp.split_partial`` with
-  a process-independent :func:`~repro.common.rng.stable_hash`), each node
-  merges its partitions, and the merged partitions funnel to the
-  coordinator for final reassembly;
-* **broadcast** — a hash join's built table ships once from the
-  coordinator to every node that runs probe-side scan fragments;
-* **gather** — shard-local results (scan output blocks, sort runs, build
-  parts, narrow aggregate partials) funnel to the coordinator, node 0.
+Afterwards the recorded costs are *placed*:
 
-**Determinism and parity are the contract**, mirrored from the parallel
-engine and enforced by ``tests/test_distributed.py`` plus the sharded
-shapes in ``tests/test_batch_parity.py``:
+* shard ``i`` (an unsharded table is one pseudo-shard) lives on node
+  ``i % nodes``; per scan pipeline each node pays its page I/O serially,
+  then list-schedules its task costs onto ``workers`` lanes
+  (:class:`~repro.common.simtime.LaneSchedule`), and the phase costs the
+  slowest node;
+* a sort's one n·log₂ n charge splits into per-task runs of nᵢ·log₂ nᵢ,
+  placed like a phase, and the merge remainder
+  n·log₂ n − Σ nᵢ·log₂ nᵢ on the lane;
+* everything else — sink finishes, serial stages (DISTINCT), serial
+  operators (index scans, nested-loop joins) and the pipelines fed by a
+  breaker's output — is coordinator lane time; a plan with LIMIT is lane
+  time throughout;
+* exchanges are charged through the
+  :class:`~repro.common.simtime.NetworkModel` and sized from execution:
+  :func:`block_bytes` of the rows a task sends, and one aggregate state
+  (:func:`state_bytes`) per (node, group) the node's tasks touched.  Wide
+  GROUP BYs repartition those states to owner nodes (group id modulo the
+  node count) before the owners ship their groups to the coordinator.
 
-* The scheduler is **fully serial** — no threads.  Shards, morsels, and
-  merges are processed in canonical shard-major order at every node
-  count, so result rows (values, Python types, order) are bit-identical
-  to the serial engines, and aggregate float state replays raw values in
-  global morsel order (never adds subtotals).
-* Every morsel charges a private shard clock (``clock.shard()``) and
-  every shard's page touches charge a per-shard page clock; all of them
-  are folded into the query's shared clock in the same canonical order
-  regardless of ``nodes`` and ``workers``.  Per-category charged
-  **compute** totals are therefore bit-identical across every
-  node/worker configuration.  Only the network categories (``shuffle``,
-  ``broadcast``, ``gather``, ``exchange-msg``) vary with the node count
-  — they are exactly zero at ``nodes=1``, where every transfer is
-  node-local.
-* The **makespan** is modeled, not charged twice: per pipeline phase,
-  each node serially performs its shards' page I/O and then
-  list-schedules its morsel tasks onto ``workers`` lanes
-  (:class:`~repro.common.simtime.LaneSchedule`); the phase costs the max
-  over nodes.  Exchange makespans come from the network model's NIC
-  placement, and the coordinator's serial lane (merges, serial
-  operators) adds its full time.  ``modeled_speedup`` is charged total
-  over makespan — the scale-out curve ``benchmarks/
-  test_distributed_scaling.py`` sweeps.
-* A plan containing LIMIT runs entirely on the coordinator lane (the
-  same early-termination argument as the parallel engine): eager
-  distributed dispatch would scan rows the serial engines never touch.
+Compute charges are therefore identical at every topology, and the per-
+category totals in ``charged_by_category`` are a pure function of the
+charge sequence — only the network categories (zero at one node) and the
+modeled makespan move with ``nodes`` and ``workers``.
 
-**Faults**: the scheduler consults the ``slow_node`` fault kind — a
-per-task latency spike targeted at ``node<i>`` — to model stragglers:
-results stay bit-identical while the slow node's phase times (and the
-query makespan) inflate.  Storage-level kinds (``replica_down``) keep
-working through the shard tables' own replica failover.  The parallel
-engine's worker-crash/retry machinery is intentionally out of scope
-here: the distributed model is about *placement*, not thread recovery.
+**Faults** replay recorded charges.  Once a task has run, the fault plan
+is consulted per attempt at site ``(scope, phase, task, attempt)``: a
+``task_error`` strikes before an attempt's work, ``slow_worker`` and
+``slow_node`` (targeted at ``node<i>``) charge their latency after it,
+and a ``worker_crash`` loses the attempt after its work — the next
+attempt charges the task's recorded charges again and the crashed lane
+leaves the phase.  Past ``retry_limit`` retries the fault's own
+``TransientError``/``WorkerCrash`` escapes.  Rows were produced once, so
+recovered results are bit-identical by construction.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from collections import Counter
+from contextlib import contextmanager
+from typing import Any, Callable
+
+import numpy as np
 
 from repro.common import categories as cat
+from repro.common.errors import TransientError, WorkerCrash
 from repro.common.faults import FaultPlan
-from repro.common.rng import stable_hash
-from repro.common.simtime import (BudgetExceeded, LaneSchedule, NetworkModel,
-                                  SimClock)
+from repro.common.simtime import LaneSchedule, NetworkModel, SimClock
 from repro.exec import operators as ops
 from repro.exec import pipeline as pl
 from repro.exec.batch import RowBlock
-from repro.exec.parallel import (DEFAULT_MORSEL_ROWS, DEFAULT_WORKERS,
-                                 _CHILD_ATTRS)
 
+#: rows per morsel task: half the batch engine's fused scan block, small
+#: enough to spread a 20k-row scan over a few workers, large enough that
+#: the one execution's per-block work stays close to the batch engine's
+DEFAULT_MORSEL_ROWS = 8192
+DEFAULT_WORKERS = 4
 DEFAULT_NODES = 4
+DEFAULT_RETRY_LIMIT = 3
 
-#: the coordinator: merges, serial operators, and the query result live here
+#: the coordinator: serial work, merges, and the query result live here
 COORDINATOR = 0
 
-#: modeled wire size per value by column kind (typed columns ship their
-#: fixed-width representation; dictionary/object columns a pointer-ish 16)
+#: a GROUP BY whose busiest node touches more groups than this
+#: repartitions its states across the nodes instead of gathering them
+SHUFFLE_MIN_GROUPS = 32
+
+#: modeled wire size per value by typed column kind: typed columns ship
+#: their fixed-width representation; strings and objects a pointer-ish 16
 _BYTES_BY_KIND = {"i8": 8, "f8": 8, "bool": 1}
 _DEFAULT_VALUE_BYTES = 16
 
 
-def block_bytes(block: RowBlock) -> int:
-    """Modeled on-the-wire size of one block (deterministic, kind-based)."""
-    n = len(block)
-    if n == 0:
-        return 0
-    if not block.kinds:
-        return 8 * n
-    return sum(_BYTES_BY_KIND.get(kind, _DEFAULT_VALUE_BYTES) * n
-               for kind in block.kinds)
+def _value_bytes(column) -> int:
+    kind = getattr(column, "kind", None)  # a TypedColumn
+    if kind is not None:
+        return _BYTES_BY_KIND.get(kind, _DEFAULT_VALUE_BYTES)
+    if column.dtype == object:
+        return _DEFAULT_VALUE_BYTES
+    return column.dtype.itemsize
 
 
-def payload_units(value: Any) -> int:
-    """Scalar-leaf count of an arbitrary exchange payload (aggregate
-    partials, sort runs, build parts): deterministic structural size, 8
-    modeled bytes per unit."""
-    if isinstance(value, dict):
-        return sum(payload_units(k) + payload_units(v)
-                   for k, v in value.items()) or 1
-    if isinstance(value, (list, tuple)):
-        return sum(payload_units(v) for v in value) or 1
-    return 1
+def block_bytes(block: RowBlock, rows: int | None = None) -> int:
+    """Modeled on-the-wire size of ``rows`` rows of ``block`` (all of
+    them by default): deterministic, from the columns' representation."""
+    rows = len(block) if rows is None else rows
+    return sum(_value_bytes(column) for column in block.columns) * rows
 
 
-def payload_bytes(value: Any) -> int:
-    return 8 * payload_units(value)
+def state_bytes(op: ops.AggregateOp) -> int:
+    """Modeled size of one group's aggregate state: 8 bytes per group-key
+    column plus a count and a running field (16 bytes) per call."""
+    return 8 * len(op.plan_node.group_by) + 16 * len(op._agg_calls)
+
+
+def _seconds(bucket: dict[str, float]) -> float:
+    """Total of a bucket: the charges (category -> seconds) filed under
+    one task attempt, one shard's page I/O, the network, or the lane."""
+    return sum(bucket.values())
+
+
+class _Task:
+    __slots__ = ("node", "index", "attempts", "crashes", "rows", "bytes")
+
+    def __init__(self, node: int, index: int):
+        self.node = node
+        self.index = index
+        self.attempts: list[dict[str, float]] = [{}]
+        self.crashes = 0
+        self.rows = 0
+        self.bytes = 0
+
+
+class _Phase:
+    """One scan pipeline's tasks and per-shard page I/O, plus the sort
+    runs its tasks feed (when its sink is a sort)."""
+
+    def __init__(self, number: int, nodes: int):
+        self.number = number
+        self.tasks: list[_Task] = []
+        #: (node, page-I/O bucket) per shard, in shard order
+        self.io: list[tuple[int, dict[str, float]]] = []
+        self.sorts = False
 
 
 class DistributedScheduler:
-    """Places a compiled pipeline program on N virtual nodes.
+    """Runs a compiled plan once and places its recorded charges on
+    ``nodes`` x ``workers`` lanes.
 
-    ``run(operator)`` returns ``(blocks, stats)`` exactly like
-    :class:`~repro.exec.parallel.MorselScheduler`; the stats dict carries
-    the exchange log and per-node timings.  Single-use, like the operator
-    tree it drives.
+    ``run(operator)`` returns ``(blocks, stats)``; :meth:`map` runs a
+    list of work items as one phase of tasks (the AI loader's fault
+    surface).  Single-use, like the operator tree it drives.
     """
 
     def __init__(self, clock: SimClock, nodes: int = DEFAULT_NODES,
                  workers: int = DEFAULT_WORKERS,
                  morsel_rows: int = DEFAULT_MORSEL_ROWS,
                  faults: FaultPlan | None = None,
+                 retry_limit: int = DEFAULT_RETRY_LIMIT,
                  registry=None):
-        if nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {nodes}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if morsel_rows < 1:
-            raise ValueError(f"morsel_rows must be >= 1, got {morsel_rows}")
+        for name, value, low in (("nodes", nodes, 1), ("workers", workers, 1),
+                                 ("morsel_rows", morsel_rows, 1),
+                                 ("retry_limit", retry_limit, 0)):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         self.nodes = nodes
         self.workers = workers
         self.morsel_rows = morsel_rows
-        self._clock = clock
-        self._tracer = clock.tracer
-        self._network = NetworkModel(nodes)
         self.faults = faults
-        self._fault_scope = faults.scope("dist") if faults is not None else ""
+        self.retry_limit = retry_limit
+        self._scope = faults.scope("sched") if faults is not None else ""
+        self._clock = clock
         self._registry = registry
-        # the coordinator's serial lane; merged into the shared clock last
-        self._lane = clock.shard()
-        # every page/task shard clock, in canonical creation order — the
-        # fold order is a pure function of the plan and the data, never of
-        # the node or worker count (the bit-identity invariant)
-        self._shard_clocks: list[SimClock] = []
-        self.tasks_dispatched = 0
-        self._phase_no = 0
-        self._phase_makespan = 0.0
-        self._exchange_makespan = 0.0
-        self._network_seconds = 0.0
+        self._network = NetworkModel(nodes)
+        self._lane: dict[str, float] = {}
+        self._net: dict[str, float] = {}
+        self._bucket = self._lane
+        self._phases: list[_Phase] = []
+        self._phase: _Phase | None = None
+        self._task: _Task | None = None
+        # the running scan pipeline's first serial stage, and the group
+        # table its tasks aggregate into (None: no aggregate sink)
+        self._tail: ops.Operator | None = None
+        self._agg_state = None
+        self._builds: dict[pl.BuildSink, tuple[int, int]] = {}
         self.exchanges: list[dict] = []
-        self._node_tasks = [0] * nodes
-        self._node_io = [0.0] * nodes
-        self._node_compute = [0.0] * nodes
-        self._node_busy = [0.0] * nodes
+        self._exchange_makespan = 0.0
         self._node_net = [{"rows_sent": 0, "bytes_sent": 0,
                            "rows_received": 0, "bytes_received": 0,
                            "nic_queued": 0} for _ in range(nodes)]
-        # hash-join build payload sizes, recorded at merge time so the
-        # probe pipeline can charge its broadcast
-        self._build_payloads: dict[int, tuple[int, int]] = {}
+        self.task_retries = 0
+        self.crashes_recovered = 0
 
     # -- public entry ------------------------------------------------------
 
     def run(self, operator: ops.Operator) -> tuple[list[RowBlock], dict]:
-        """Execute the tree; returns (result blocks, stats).  Shard-clock
-        charges are folded into the shared clock even when execution
-        raises, like the other engines."""
-        start = self._clock.now
+        """Execute the tree once; returns (result blocks, stats).  Like
+        the batch engine, a failing query leaves its charges behind."""
         try:
-            program = pl.compile_pipelines(operator)
-            if program.has_limit:
-                blocks = self._serial_tree(operator)
-            else:
-                placed = self._pipeline_placed(program.root)
-                blocks = self._gather_blocks(
-                    placed, self._pipe_op(program.root), "result gather")
-            self._check_budget()
+            with self._recording():
+                program = pl.compile_pipelines(operator)
+                blocks = pl.run_placed(
+                    program, self._clock,
+                    None if program.has_limit else self)
         finally:
-            stats = self.finish(start)
+            stats = self.finish()
         return blocks, stats
 
-    def finish(self, start: float | None = None) -> dict:
-        """Fold all shard-clock charges into the shared clock in canonical
-        order and return the scheduler stats."""
-        direct = (self._clock.now - start) if start is not None else 0.0
-        task_total = sum(shard.now for shard in self._shard_clocks)
-        charged = direct + task_total + self._lane.now
-        # exchanges charged the shared clock serially; the makespan
-        # replaces that serial sum with the NIC-placement makespan
-        makespan = ((direct - self._network_seconds) + self._phase_makespan
-                    + self._exchange_makespan + self._lane.now)
-        # fold every shard clock (then the lane) into the shared clock in
-        # canonical order, accumulating a fresh per-category total on the
-        # side: unlike shared-clock deltas, which pick up rounding from
-        # whatever the clock already accumulated, this dict is a pure
-        # function of the charge sequence — bit-identical across node and
-        # worker counts (the invariant tests and benchmarks assert on)
-        by_category: dict[str, float] = {}
-        limit = self._clock.limit
-        self._clock.set_limit(None)
-        try:
-            for shard in self._shard_clocks:
-                self._fold(shard, by_category)
-            self._fold(self._lane, by_category)
-        finally:
-            self._clock.set_limit(limit)
-        per_node = [
-            {"node": node,
-             "tasks": self._node_tasks[node],
-             "io_seconds": self._node_io[node],
-             "compute_seconds": self._node_compute[node],
-             "busy_seconds": self._node_busy[node],
-             **self._node_net[node]}
-            for node in range(self.nodes)
-        ]
+    def map(self, items, fn: Callable[[Any, SimClock], Any]) -> list:
+        """``fn(item, clock)`` over ``items`` in order, each item one task
+        of a single phase on the coordinator, faults replayed per task."""
+        results = []
+        with self._recording():
+            self._phase = self._new_phase()
+            for index, item in enumerate(items):
+                task = self._open(COORDINATOR, index)
+                results.append(fn(item, self._clock))
+                self._close(task)
+        return results
+
+    def finish(self) -> dict:
+        """Place the recorded charges and return the scheduler stats."""
+        per_node = [{"node": node, "tasks": 0, "io_seconds": 0.0,
+                     "compute_seconds": 0.0, "busy_seconds": 0.0,
+                     **self._node_net[node]} for node in range(self.nodes)]
+        tracer = self._clock.tracer
+        makespan = 0.0
+        runs_total = 0.0
+        for phase in self._phases:
+            by_node: dict[int, list[_Task]] = {}
+            for task in phase.tasks:
+                by_node.setdefault(task.node, []).append(task)
+            makespan += self._place(phase, by_node, per_node, makespan,
+                                    tracer)
+            if phase.sorts:
+                runs = [(task.node, ops.SortOp._sort_cost(task.rows))
+                        for task in phase.tasks]
+                runs_total += sum(cost for _, cost in runs)
+                makespan += self._place_runs(runs, per_node)
+        lane = max(0.0, _seconds(self._lane) - runs_total)
+        makespan += self._exchange_makespan + lane
+        by_category = self._charged_by_category()
+        charged = sum(by_category.values())
+        tasks = sum(len(phase.tasks) for phase in self._phases)
         stats = {
             "nodes": self.nodes,
             "workers": self.workers,
             "morsel_rows": self.morsel_rows,
-            "tasks": self.tasks_dispatched,
-            "phases": self._phase_no,
+            "tasks": tasks,
+            "parallel_phases": sum(1 for p in self._phases if p.tasks),
             "virtual_charged": charged,
             "virtual_makespan": makespan,
-            "modeled_speedup": (charged / makespan) if makespan > 0 else 1.0,
+            "modeled_speedup": charged / makespan if makespan > 0 else 1.0,
             "charged_by_category": by_category,
             "rows_shuffled": sum(e["rows"] for e in self.exchanges
                                  if e["kind"] == cat.SHUFFLE),
             "bytes_on_wire": sum(e["bytes"] for e in self.exchanges),
-            "exchange_seconds": self._network_seconds,
+            "exchange_seconds": _seconds(self._net),
+            "lane_seconds": lane,
             "exchanges": list(self.exchanges),
             "per_node": per_node,
+            "task_retries": self.task_retries,
+            "crashes_recovered": self.crashes_recovered,
         }
         registry = self._registry
         if registry is not None:
-            registry.counter("exec.tasks").inc(self.tasks_dispatched)
-            registry.counter("dist.exchanges").inc(len(self.exchanges))
+            registry.counter("exec.tasks").inc(tasks)
+            registry.counter("exec.parallel_phases").inc(
+                stats["parallel_phases"])
+            if self.task_retries:
+                registry.counter("exec.task_retries").inc(self.task_retries)
+            if self.crashes_recovered:
+                registry.counter("exec.crashes_recovered").inc(
+                    self.crashes_recovered)
             registry.histogram("exec.makespan").observe(makespan)
+            registry.counter("dist.exchanges").inc(len(self.exchanges))
             for entry in per_node:
                 node = entry["node"]
                 registry.gauge("dist.node.makespan", node=node).set(
@@ -252,76 +282,266 @@ class DistributedScheduler:
                     entry["nic_queued"])
         return stats
 
-    # -- accounting --------------------------------------------------------
+    # -- recording ---------------------------------------------------------
 
-    def _shard_clock(self) -> SimClock:
-        shard = self._clock.shard()
-        self._shard_clocks.append(shard)
-        return shard
+    def charge(self, category: str, seconds: float) -> None:
+        """Clock callback: file one charge under the open bucket."""
+        bucket = self._bucket
+        bucket[category] = bucket.get(category, 0.0) + seconds
 
-    def _fold(self, shard: SimClock,
-              by_category: dict[str, float]) -> None:
-        for category, seconds in shard.breakdown().items():
-            self._clock.absorb(seconds, category)  # repro: charge-category-ok folding shard breakdowns whose categories were validated at charge time
-            by_category[category] = by_category.get(category, 0.0) + seconds
+    def _charged_by_category(self) -> dict[str, float]:
+        """Per-category totals folded over the buckets in a fixed order.
+        Which bucket a charge lands in depends only on the plan, the data
+        and the faults — never on the topology — so compute categories
+        are bit-identical at every node and worker count."""
+        buckets = [self._lane]
+        for phase in self._phases:
+            buckets += [bucket for _, bucket in phase.io]
+            buckets += [attempt for task in phase.tasks
+                        for attempt in task.attempts]
+        buckets.append(self._net)
+        totals: dict[str, float] = {}
+        for bucket in buckets:
+            for category, seconds in bucket.items():
+                totals[category] = totals.get(category, 0.0) + seconds
+        return totals
 
-    def _check_budget(self) -> None:
-        limit = self._clock.limit
-        if limit is None:
+    @contextmanager
+    def _recording(self):
+        previous = self._clock.recorder
+        self._clock.recorder = self
+        try:
+            yield
+        finally:
+            self._clock.recorder = previous
+            self._bucket = self._lane
+
+    def _new_phase(self) -> _Phase:
+        phase = _Phase(len(self._phases), self.nodes)
+        self._phases.append(phase)
+        return phase
+
+    def _open(self, node: int, index: int) -> _Task:
+        task = _Task(node, index)
+        self._phase.tasks.append(task)
+        self._task = task
+        self._bucket = task.attempts[0]
+        return task
+
+    def _close(self, task: _Task) -> None:
+        if self.faults is not None:
+            self._replay(task)
+        self._task = None
+        self._bucket = self._lane
+
+    def _replay(self, task: _Task) -> None:
+        """Consult the fault plan for ``task``'s attempts: the execution's
+        charges are attempt 0's work; a retried attempt after a crash
+        charges them again."""
+        faults, clock = self.faults, self._clock
+        work = dict(task.attempts[0])
+        site_of = f"{self._scope}:{self._phase.number}:{task.index}:"
+        ran = False
+        attempt = 0
+        while True:
+            site = site_of + str(attempt)
+            try:
+                faults.maybe_raise("task_error", site, index=task.index,
+                                   attempt=attempt)
+                if ran:
+                    bucket = {}
+                    task.attempts.append(bucket)
+                    self._bucket = bucket
+                    for category, seconds in work.items():
+                        clock.advance(seconds, category)  # repro: charge-category-ok replaying recorded charges whose categories were checked at their sites
+                ran = True
+                for kind, target in (("slow_worker", None),
+                                     ("slow_node", f"node{task.node}")):
+                    spec = faults.decide(kind, site, index=task.index,
+                                         target=target, attempt=attempt)
+                    if spec is not None and spec.latency > 0:
+                        clock.advance(spec.latency, cat.FAULT_SLOW)
+                faults.maybe_raise("worker_crash", site, index=task.index,
+                                   attempt=attempt)
+                return
+            except (TransientError, WorkerCrash) as exc:
+                if attempt >= self.retry_limit:
+                    raise
+                crashed = isinstance(exc, WorkerCrash)
+                if crashed:
+                    task.crashes += 1
+                    self.crashes_recovered += 1
+                else:
+                    self.task_retries += 1
+                if clock.tracer is not None:
+                    clock.tracer.event(
+                        "worker_crash" if crashed else "task_retry",
+                        phase=self._phase.number, morsel=task.index,
+                        attempt=attempt,
+                        error=f"{type(exc).__name__}: {exc}")
+                attempt += 1
+
+    # -- the pipeline driver's hooks ----------------------------------------
+
+    def carriers(self, pipeline: pl.Pipeline, clock: SimClock):
+        """The carriers of ``pipeline``: a scan splits into one task per
+        morsel on its shard's node; any other source is lane work."""
+        source = pipeline.source
+        if not isinstance(source, pl.ScanSource):
+            return source.carriers(clock)
+        return self._scan_tasks(pipeline, clock)
+
+    def output(self, carrier: pl.BlockCarrier) -> None:
+        """A carrier leaves the pipeline's parallel stages: record what the
+        task sends on; serial stages after this run on the lane."""
+        task = self._task
+        if task is None:  # lane work: nothing is placed
             return
-        pending = sum(shard.now for shard in self._shard_clocks) \
-            + self._lane.now
-        if self._clock.now + pending > limit:
-            raise BudgetExceeded(
-                f"virtual-time budget {limit} exceeded at a distributed "
-                f"phase boundary")
+        task.rows += carrier.count
+        task.bytes += block_bytes(carrier.block, carrier.count)
+        if self._tail is not None:
+            self._bucket = self._lane
 
-    def _close_phase(self, tasks: list[tuple[int, float]],
-                     io_by_node: dict[int, float] | None = None) -> None:
-        """Close one parallel phase: per node, serial page I/O plus its
-        morsel costs list-scheduled onto ``workers`` lanes; the phase's
-        makespan contribution is the slowest node."""
-        self._phase_no += 1
-        by_node: dict[int, list[float]] = {}
-        for node, cost in tasks:
-            by_node.setdefault(node, []).append(cost)
-        if io_by_node:
-            for node in io_by_node:
-                by_node.setdefault(node, [])
-        longest = 0.0
-        for node in sorted(by_node):
-            costs = by_node[node]
-            io = io_by_node.get(node, 0.0) if io_by_node else 0.0
-            node_time = io
-            if costs:
-                lanes = LaneSchedule(min(self.workers, len(costs)) or 1)
-                for cost in costs:
-                    lanes.assign(0.0, cost)
-                node_time += lanes.makespan()
-            self._node_io[node] += io
-            self._node_compute[node] += sum(costs)
-            self._node_busy[node] += node_time
-            longest = max(longest, node_time)
-        self._phase_makespan += longest
+    def _scan_tasks(self, pipeline: pl.Pipeline, clock: SimClock):
+        scan = pipeline.source.op
+        table = scan._table
+        shards = (table.shard_tables if getattr(table, "sharded", False)
+                  else [table])
+        stages = pipeline.stages[:pipeline.serial_from]
+        self._tail = (pipeline.stages[pipeline.serial_from].op
+                      if pipeline.serial_from < len(pipeline.stages)
+                      else None)
+        sink = pipeline.sink
+        nodes_used = sorted({i % self.nodes for i in range(len(shards))})
+        # states are only worth sizing when they sit on several nodes
+        self._agg_state = (sink._state if self._tail is None
+                           and len(nodes_used) > 1
+                           and isinstance(sink, pl.AggregateSink) else None)
+        self._broadcast_builds(stages, nodes_used)
+        phase = self._phase = self._new_phase()
+        index = 0
+        for shard_idx, shard in enumerate(shards):
+            node = shard_idx % self.nodes
+            self._bucket = {}
+            phase.io.append((node, self._bucket))
+            morsels = shard.scan_morsels(self.morsel_rows)
+            for columns, n in morsels:
+                task = self._open(node, index)
+                index += 1
+                if self._agg_state is not None:
+                    self._agg_state.marker = node
+                out = scan.scan_block(scan.make_block(columns, n), clock)
+                if out is not None:
+                    yield pl.BlockCarrier(*out)
+                self._close(task)
+        if self._agg_state is not None:
+            self._agg_state.marker = None
+        self._bucket = self._lane
+        self._exchange_after(pipeline, phase)
 
-    def _exchange(self, category: str, transfers: list,
-                  op: ops.Operator | None, label: str) -> dict | None:
-        """Run one exchange through the network model, charging the shared
-        clock under ``op``'s span so EXPLAIN ANALYZE attribution (and its
-        empty ``(other)`` bucket) keeps holding."""
-        transfers = [t for t in transfers if t[0] != t[1]]
+    # -- exchanges ---------------------------------------------------------
+
+    def _exchange_after(self, pipeline: pl.Pipeline, phase: _Phase) -> None:
+        """Ship what a scan pipeline's tasks produced to where the next
+        step runs."""
+        sink = pipeline.sink
+        if self._tail is not None:
+            self._gather(phase.tasks, self._tail, "serial tail")
+        elif isinstance(sink, pl.AggregateSink):
+            self._aggregate_exchange(sink)
+        elif isinstance(sink, pl.SortSink):
+            phase.sorts = True
+            self._gather(phase.tasks, sink.op, "sorted runs")
+        elif isinstance(sink, pl.BuildSink):
+            self._builds[sink] = (sum(t.rows for t in phase.tasks),
+                                  sum(t.bytes for t in phase.tasks))
+            self._gather(phase.tasks, sink.op, "build parts")
+        else:
+            op = (sink.op if sink is not None else
+                  pipeline.stages[-1].op if pipeline.stages
+                  else pipeline.source.op)
+            self._gather(phase.tasks, op,
+                         "result gather" if sink is None else "collect gather")
+
+    def _gather(self, tasks: list[_Task], op, label: str) -> None:
+        self._exchange(cat.GATHER,
+                       [(task.node, COORDINATOR, task.bytes, task.rows)
+                        for task in tasks if task.node != COORDINATOR],
+                       op, label)
+
+    def _aggregate_exchange(self, sink: pl.AggregateSink) -> None:
+        """One state per (node, group): gathered to the coordinator, or —
+        for a wide GROUP BY across nodes — repartitioned to each group's
+        owner node, which then ships its finished groups."""
+        op = sink.op
+        size = state_bytes(op)
+        marks = sink._state.marks
+        groups = [np.flatnonzero(marks[node][:len(sink._state)])
+                  if node in marks else np.zeros(0, dtype=np.int64)
+                  for node in range(self.nodes)]
+        marks.clear()
+        if (op.plan_node.group_by
+                and max(len(g) for g in groups) > SHUFFLE_MIN_GROUPS):
+            owner = np.arange(len(sink._state)) % self.nodes
+            transfers = []
+            for node, gids in enumerate(groups):
+                counts = np.bincount(owner[gids], minlength=self.nodes)
+                transfers += [(node, dst, int(k) * size, int(k))
+                              for dst, k in enumerate(counts)
+                              if dst != node and k]
+            self._exchange(cat.SHUFFLE, transfers, op, "partial repartition")
+            owned = np.bincount(owner, minlength=self.nodes)
+            self._exchange(cat.GATHER,
+                           [(node, COORDINATOR, int(k) * size, int(k))
+                            for node, k in enumerate(owned)
+                            if node != COORDINATOR and k],
+                           op, "merged partitions")
+        else:
+            self._exchange(cat.GATHER,
+                           [(node, COORDINATOR, len(g) * size, len(g))
+                            for node, g in enumerate(groups)
+                            if node != COORDINATOR and len(g)],
+                           op, "aggregate partials")
+
+    def _broadcast_builds(self, stages: list[pl.PipelineStage],
+                          nodes_used: list[int]) -> None:
+        """Ship each probed build table from the coordinator to every
+        other node running this scan's tasks."""
+        targets = [node for node in nodes_used if node != COORDINATOR]
+        if not targets:
+            return
+        for stage in stages:
+            if not isinstance(stage, pl.ProbeStage):
+                continue
+            build = stage.build
+            rows, nbytes = self._builds.get(build, (None, None))
+            if rows is None:
+                # built on the lane from a breaker's output
+                rows = build.build_rows
+                nbytes = rows * 8 * len(stage.op._left.layout)
+            self._exchange(cat.BROADCAST,
+                           [(COORDINATOR, node, nbytes, rows)
+                            for node in targets],
+                           stage.op, "build broadcast")
+
+    def _exchange(self, category: str, transfers: list, op,
+                  label: str) -> None:
+        """Charge one exchange under ``op``'s span and log it."""
         if not transfers:
-            return None
-        tracer = self._tracer
-        if tracer is not None and op is not None:
+            return
+        tracer = self._clock.tracer
+        previous, self._bucket = self._bucket, self._net
+        if tracer is not None:
             tracer.push(tracer.operator_span(op))
         try:
             stats = self._network.exchange(category, transfers, self._clock)
         finally:
-            if tracer is not None and op is not None:
+            if tracer is not None:
                 tracer.pop()
+            self._bucket = previous
+        if not stats["messages"]:
+            return
         self._exchange_makespan += stats["makespan"]
-        self._network_seconds += sum(stats["seconds"].values())
         for entry in stats["per_node"]:
             net = self._node_net[entry["node"]]
             for key in net:
@@ -329,7 +549,7 @@ class DistributedScheduler:
         record = {
             "kind": category,
             "label": label,
-            "op": type(op).__name__ if op is not None else None,
+            "op": type(op).__name__,
             "node_id": getattr(getattr(op, "plan_node", None), "node_id",
                                None),
             "rows": stats["rows"],
@@ -343,423 +563,57 @@ class DistributedScheduler:
             tracer.event("exchange", kind=category, label=label,
                          rows=record["rows"], bytes=record["bytes"],
                          messages=record["messages"])
-        return stats
 
-    def _gather_blocks(self, placed: list[tuple[int, RowBlock]],
-                       op: ops.Operator | None,
-                       label: str) -> list[RowBlock]:
-        """Funnel placed blocks to the coordinator; canonical order is
-        already the serial engines' block order."""
-        transfers = [(node, COORDINATOR, block_bytes(block), len(block))
-                     for node, block in placed if node != COORDINATOR]
-        self._exchange(cat.GATHER, transfers, op, label)
-        return [block for _, block in placed]
+    # -- placement ---------------------------------------------------------
 
-    # -- fault injection ---------------------------------------------------
+    def _place(self, phase: _Phase, by_node: dict[int, list[_Task]],
+               per_node: list[dict], base: float, tracer) -> float:
+        """Per node: page I/O, then every attempt list-scheduled onto the
+        workers that survived the phase; the phase lasts as long as its
+        slowest node."""
+        io_by_node = [0.0] * self.nodes
+        for node, bucket in phase.io:
+            io_by_node[node] += _seconds(bucket)
+        longest = 0.0
+        for node in range(self.nodes):
+            tasks = by_node.get(node, [])
+            io = io_by_node[node]
+            entry = per_node[node]
+            entry["tasks"] += len(tasks)
+            entry["io_seconds"] += io
+            busy = io
+            if tasks:
+                lost = sum(task.crashes for task in tasks)
+                lanes = LaneSchedule(max(1, min(self.workers, len(tasks))
+                                         - lost))
+                for task in tasks:
+                    for attempt in task.attempts:
+                        cost = _seconds(attempt)
+                        lane, start, end = lanes.assign(0.0, cost)
+                        entry["compute_seconds"] += cost
+                        if tracer is not None:
+                            span = tracer.begin(
+                                f"morsel p{phase.number}.{task.index}",
+                                "task", parent=None, phase=phase.number,
+                                morsel=task.index, node=node,
+                                worker=node * self.workers + lane)
+                            span.start = base + io + start
+                            span.end = base + io + end
+                busy += lanes.makespan()
+            entry["busy_seconds"] += busy
+            longest = max(longest, busy)
+        return longest
 
-    def _maybe_slow_node(self, node: int, shard: SimClock,
-                         index: int) -> None:
-        faults = self.faults
-        if faults is None:
-            return
-        site = f"{self._fault_scope}:{self._phase_no}:{index}:0"
-        spec = faults.decide("slow_node", site, index=index,
-                             target=f"node{node}")
-        if spec is not None and spec.latency > 0:
-            shard.advance(spec.latency, cat.FAULT_SLOW)
-
-    # -- tracing helpers ---------------------------------------------------
-
-    def _on_lane(self, op: ops.Operator, fn):
-        tracer = self._tracer
-        if tracer is None:
-            return fn()
-        tracer.push(tracer.operator_span(op))
-        try:
-            return fn()
-        finally:
-            tracer.pop()
-
-    @staticmethod
-    def _pipe_op(pipe: pl.Pipeline) -> ops.Operator | None:
-        if pipe.stages:
-            return pipe.stages[-1].op
-        source = pipe.source
-        if isinstance(source, pl.SinkSource):
-            return source.sink.op
-        return getattr(source, "op", None)
-
-    # -- pipeline execution ------------------------------------------------
-
-    def _pipeline_placed(self, pipe: pl.Pipeline
-                         ) -> list[tuple[int, RowBlock]]:
-        """Execute one pipeline; returns ``(node, block)`` placements in
-        canonical (serial-engine) block order."""
-        for dep in pipe.inputs:
-            self._run_to_sink(dep)
-        safe: list[pl.PipelineStage] = []
-        tail: list[pl.PipelineStage] = []
-        for stage in pipe.stages:
-            (tail if tail or not stage.parallel_safe else safe).append(stage)
-        source = pipe.source
-        if isinstance(source, pl.ScanSource):
-            self._broadcast_builds(source.op, safe)
-            placed = self._scan_placed(source.op, safe)
-        else:
-            placed = self._source_placed(source)
-            if safe:
-                placed = self._stage_placed(placed, safe)
-        if tail:
-            blocks = self._gather_blocks(placed, tail[0].op, "serial tail")
-            placed = [(COORDINATOR, block)
-                      for block in self._serial_stages(blocks, tail)]
-        return placed
-
-    def _run_to_sink(self, pipe: pl.Pipeline) -> None:
-        """Run a breaker pipeline; its merged result always lands on the
-        coordinator (every merge runs on the coordinator's serial lane),
-        so downstream SinkSources are node-0 placed."""
-        placed = self._pipeline_placed(pipe)
-        sink = pipe.sink
-        if isinstance(sink, pl.AggregateSink):
-            sink.result_blocks = self._aggregate_placed(sink.op, placed)
-        elif isinstance(sink, pl.SortSink):
-            sink.result_blocks = self._sort_placed(sink.op, placed)
-        elif isinstance(sink, pl.BuildSink):
-            self._build_placed(sink, placed)
-        else:  # CollectSink and friends: gather, no merge charges
-            sink.result_blocks = self._gather_blocks(
-                placed, sink.op or self._pipe_op(pipe), "collect gather")
-
-    def _source_placed(self, source: pl.PipelineSource
-                       ) -> list[tuple[int, RowBlock]]:
-        """Non-scan sources: breaker sinks replay their coordinator-placed
-        result; serial operators (IndexScan, NestedLoopJoin, EmptyRow) run
-        their batch path on the coordinator lane."""
-        if isinstance(source, pl.SinkSource):
-            return [(COORDINATOR, block)
-                    for block in source.sink.result_blocks]
-        source.op._clock = self._lane
-        blocks = self._on_lane(
-            source.op,
-            lambda: [carrier.materialize()
-                     for carrier in source.carriers(self._lane)])
-        return [(COORDINATOR, block) for block in blocks]
-
-    def _scan_placed(self, scan: ops.SeqScanOp,
-                     stages: list[pl.PipelineStage]
-                     ) -> list[tuple[int, RowBlock]]:
-        """Shard-local scan fragments: shard ``i`` scans on node
-        ``i % nodes``, charging page I/O to a per-shard page clock and each
-        morsel's fused stage chain to a per-task clock."""
-        table = scan._table
-        tracer = self._tracer
-        sharded = getattr(table, "sharded", False)
-        n_shards = table.shard_count if sharded else 1
-        page_clocks = [self._shard_clock() for _ in range(n_shards)]
-        if tracer is None:
-            if sharded:
-                per_shard = table.shard_morsels(self.morsel_rows,
-                                                clock_for=page_clocks)
-            else:
-                per_shard = [table.scan_morsels(self.morsel_rows,
-                                                clock=page_clocks[0])]
-        else:
-            with tracer.op(scan):
-                if sharded:
-                    per_shard = table.shard_morsels(self.morsel_rows,
-                                                    clock_for=page_clocks)
-                else:
-                    per_shard = [table.scan_morsels(self.morsel_rows,
-                                                    clock=page_clocks[0])]
-            stage_spans = [tracer.operator_span(stage.op)
-                           for stage in stages]
-            scan_span = tracer.operator_span(scan)
-
-        def task(morsel, shard: SimClock):
-            columns, n = morsel
-            lens = [0] * (1 + len(stages))
-            out = scan.scan_block(scan.make_block(columns, n), shard)
-            if out is None:
-                return lens, None
-            carrier = pl.BlockCarrier(*out)
-            lens[0] = carrier.count
-            for j, stage in enumerate(stages):
-                carrier = stage.apply(carrier, shard)
-                if carrier is None:
-                    return lens, None
-                lens[j + 1] = carrier.count
-            return lens, carrier.materialize()
-
-        def traced_task(morsel, shard: SimClock):
-            columns, n = morsel
-            lens = [0] * (1 + len(stages))
-            tracer.push(scan_span)
-            try:
-                out = scan.scan_block(scan.make_block(columns, n), shard)
-            finally:
-                tracer.pop()
-            if out is None:
-                return lens, None
-            carrier = pl.BlockCarrier(*out)
-            lens[0] = carrier.count
-            for j, stage in enumerate(stages):
-                tracer.push(stage_spans[j])
-                try:
-                    carrier = stage.apply(carrier, shard)
-                finally:
-                    tracer.pop()
-                if carrier is None:
-                    return lens, None
-                lens[j + 1] = carrier.count
-            return lens, carrier.materialize()
-
-        run = task if tracer is None else traced_task
-        chain = [scan] + [stage.op for stage in stages]
-        placed: list[tuple[int, RowBlock]] = []
-        phase_tasks: list[tuple[int, float]] = []
-        io_by_node: dict[int, float] = {}
-        index = 0
-        for shard_idx in range(n_shards):
-            node = shard_idx % self.nodes
-            io_by_node[node] = io_by_node.get(node, 0.0) \
-                + page_clocks[shard_idx].now
-            for morsel in per_shard[shard_idx]:
-                tclock = self._shard_clock()
-                lens, block = run(morsel, tclock)
-                self._maybe_slow_node(node, tclock, index)
-                for op, n_out in zip(chain, lens):
-                    op.rows_out += n_out
-                if block is not None:
-                    placed.append((node, block))
-                phase_tasks.append((node, tclock.now))
-                self._node_tasks[node] += 1
-                index += 1
-        self.tasks_dispatched += index
-        self._close_phase(phase_tasks, io_by_node)
-        self._check_budget()
-        return placed
-
-    def _stage_placed(self, placed: list[tuple[int, RowBlock]],
-                      stages: list[pl.PipelineStage]
-                      ) -> list[tuple[int, RowBlock]]:
-        """Fused stage chain over already-placed blocks (breaker output or
-        a serial operator's blocks), each block a task on its node."""
-        tracer = self._tracer
-        if tracer is not None:
-            stage_spans = [tracer.operator_span(stage.op)
-                           for stage in stages]
-        chain = [stage.op for stage in stages]
-        out: list[tuple[int, RowBlock]] = []
-        phase_tasks: list[tuple[int, float]] = []
-        for index, (node, block) in enumerate(placed):
-            tclock = self._shard_clock()
-            lens = [0] * len(stages)
-            carrier: pl.BlockCarrier | None = pl.BlockCarrier(block)
-            for j, stage in enumerate(stages):
-                if tracer is None:
-                    carrier = stage.apply(carrier, tclock)
-                else:
-                    tracer.push(stage_spans[j])
-                    try:
-                        carrier = stage.apply(carrier, tclock)
-                    finally:
-                        tracer.pop()
-                if carrier is None:
-                    break
-                lens[j] = carrier.count
-            self._maybe_slow_node(node, tclock, index)
-            for op, n_out in zip(chain, lens):
-                op.rows_out += n_out
-            if carrier is not None:
-                out.append((node, carrier.materialize()))
-            phase_tasks.append((node, tclock.now))
-            self._node_tasks[node] += 1
-        self.tasks_dispatched += len(placed)
-        self._close_phase(phase_tasks)
-        self._check_budget()
-        return out
-
-    def _serial_stages(self, blocks: list[RowBlock],
-                       stages: list[pl.PipelineStage]) -> list[RowBlock]:
-        """Order-sensitive stage tail (Distinct) on the coordinator lane,
-        in canonical order."""
-        lane = self._lane
-        tracer = self._tracer
-        out: list[RowBlock] = []
-        for block in blocks:
-            carrier: pl.BlockCarrier | None = pl.BlockCarrier(block)
-            for stage in stages:
-                if tracer is None:
-                    carrier = stage.apply(carrier, lane)
-                else:
-                    tracer.push(tracer.operator_span(stage.op))
-                    try:
-                        carrier = stage.apply(carrier, lane)
-                    finally:
-                        tracer.pop()
-                if carrier is None:
-                    break
-                stage.op.rows_out += carrier.count
-            if carrier is not None:
-                out.append(carrier.materialize())
-        return out
-
-    # -- breaker sinks -----------------------------------------------------
-
-    def _node_task_phase(self, op: ops.Operator,
-                         placed: list[tuple[int, Any]], fn
-                         ) -> list[tuple[int, Any]]:
-        """One task per placed item on its node under ``op``'s span;
-        returns ``(node, result)`` in canonical order and closes the
-        phase."""
-        tracer = self._tracer
-        span = tracer.operator_span(op) if tracer is not None else None
-        out: list[tuple[int, Any]] = []
-        phase_tasks: list[tuple[int, float]] = []
-        for index, (node, item) in enumerate(placed):
-            tclock = self._shard_clock()
-            if tracer is None:
-                result = fn(item, tclock)
-            else:
-                tracer.push(span)
-                try:
-                    result = fn(item, tclock)
-                finally:
-                    tracer.pop()
-            self._maybe_slow_node(node, tclock, index)
-            out.append((node, result))
-            phase_tasks.append((node, tclock.now))
-            self._node_tasks[node] += 1
-        self.tasks_dispatched += len(placed)
-        self._close_phase(phase_tasks)
-        self._check_budget()
-        return out
-
-    def _aggregate_placed(self, op: ops.AggregateOp,
-                          placed: list[tuple[int, RowBlock]]
-                          ) -> list[RowBlock]:
-        """Node-local partial aggregation, then either a shuffled
-        partitioned merge (wide GROUP BY across nodes) or a plain gather
-        of the partials to the coordinator.  Both merges replay raw
-        values in global morsel order, so results — and charges, since
-        the merge itself charges nothing — are bit-identical to the
-        serial engines at every node count."""
-        partials = self._node_task_phase(op, placed, op.partial_block)
-        if (self.nodes > 1 and op._node.group_by and partials
-                and max(len(p) for _, p in partials)
-                > op.PARTITION_MIN_KEYS):
-            result = self._shuffle_merge(op, partials)
-        else:
-            transfers = [(node, COORDINATOR, payload_bytes(partial),
-                          len(partial))
-                         for node, partial in partials
-                         if node != COORDINATOR and partial]
-            self._exchange(cat.GATHER, transfers, op, "aggregate partials")
-            result = self._on_lane(op, lambda: op.finish_partials(
-                [partial for _, partial in partials]))
-        return [result] if result is not None else []
-
-    def _shuffle_merge(self, op: ops.AggregateOp,
-                       partials: list[tuple[int, dict]]) -> RowBlock | None:
-        """Hash-repartition per-morsel partials across the nodes: node
-        ``q`` owns partition ``q``, producers ship every slice whose owner
-        is a different node, each owner folds its partition's slices in
-        global morsel order, and the merged partitions gather to the
-        coordinator for first-seen-order reassembly."""
-        parts = self.nodes
-
-        def hasher(key):
-            return stable_hash(key, parts)
-
-        splits = [op.split_partial(partial, parts, hasher=hasher)
-                  for _, partial in partials]
-        transfers = []
-        for (node, _), split in zip(partials, splits):
-            for owner in range(parts):
-                slice_ = split[owner]
-                if slice_ and node != owner:
-                    transfers.append((node, owner, payload_bytes(slice_),
-                                      len(slice_)))
-        self._exchange(cat.SHUFFLE, transfers, op, "partial repartition")
-        merged = [op.merge_partition([split[owner] for split in splits])
-                  for owner in range(parts)]
-        gather = [(owner, COORDINATOR, payload_bytes(part), len(part))
-                  for owner, part in enumerate(merged)
-                  if owner != COORDINATOR and part]
-        self._exchange(cat.GATHER, gather, op, "merged partitions")
-        return self._on_lane(op, lambda: op.finish_partitions(merged))
-
-    def _sort_placed(self, op: ops.SortOp,
-                     placed: list[tuple[int, RowBlock]]) -> list[RowBlock]:
-        """Node-local sorted runs, gathered to the coordinator for the
-        k-way merge on the serial lane (same split as the parallel
-        engine, so charged totals match the serial full sort)."""
-        runs = self._node_task_phase(op, placed, op.sort_block)
-        transfers = [(node, COORDINATOR, payload_bytes(run), len(run))
-                     for node, run in runs
-                     if node != COORDINATOR and run]
-        self._exchange(cat.GATHER, transfers, op, "sorted runs")
-        out = self._on_lane(op, lambda: op.merge_runs(
-            [run for _, run in runs], self._lane))
-        for block in out:
-            op.rows_out += len(block)
-        return out
-
-    def _build_placed(self, sink: pl.BuildSink,
-                      placed: list[tuple[int, RowBlock]]) -> None:
-        """Node-local hash-join build parts, gathered to the coordinator
-        and merged in morsel order; the payload size is remembered for
-        the probe side's broadcast."""
-        op = sink.op
-        parts = self._node_task_phase(op, placed, op.build_block)
-        transfers = [(node, COORDINATOR, payload_bytes(part), part[0])
-                     for node, part in parts
-                     if node != COORDINATOR and part[0]]
-        self._exchange(cat.GATHER, transfers, op, "build parts")
-        buckets, factor = self._on_lane(op, lambda: op.merge_build(
-            [part for _, part in parts], self._lane))
-        sink.set_built(buckets, factor)
-        build_rows = sum(part[0] for _, part in parts)
-        self._build_payloads[id(sink)] = (build_rows, payload_bytes(buckets))
-
-    def _broadcast_builds(self, scan: ops.SeqScanOp,
-                          stages: list[pl.PipelineStage]) -> None:
-        """Ship each probe stage's built table from the coordinator to
-        every node that runs this scan's shard fragments."""
-        if self.nodes <= 1:
-            return
-        table = scan._table
-        if not getattr(table, "sharded", False):
-            return
-        targets = sorted({shard % self.nodes
-                          for shard in range(table.shard_count)}
-                         - {COORDINATOR})
-        if not targets:
-            return
-        for stage in stages:
-            if not isinstance(stage, pl.ProbeStage):
-                continue
-            rows, nbytes = self._build_payloads.get(
-                id(stage.build), (0, payload_bytes(stage.build.buckets)))
-            transfers = [(COORDINATOR, node, nbytes, rows)
-                         for node in targets]
-            self._exchange(cat.BROADCAST, transfers, stage.op,
-                           "build broadcast")
-
-    # -- whole-tree serial fallback ----------------------------------------
-
-    def _serial_tree(self, op: ops.Operator) -> list[RowBlock]:
-        """LIMIT plans run entirely on the coordinator lane — streaming
-        early-termination semantics, and therefore charges, stay exactly
-        the batch engine's."""
-        self._rebind(op, self._lane)
-        return list(op.batches())
-
-    @classmethod
-    def _rebind(cls, op: ops.Operator, lane: SimClock) -> None:
-        op._clock = lane
-        for attr in _CHILD_ATTRS:
-            child = getattr(op, attr, None)
-            if isinstance(child, ops.Operator):
-                cls._rebind(child, lane)
+    def _place_runs(self, runs: list[tuple[int, float]],
+                    per_node: list[dict]) -> float:
+        """Sorted runs, one per task, on the workers of the task's node."""
+        by_node = Counter(node for node, _ in runs)
+        lanes = {node: LaneSchedule(min(self.workers, count))
+                 for node, count in by_node.items()}
+        for node, cost in runs:
+            lanes[node].assign(0.0, cost)
+        longest = 0.0
+        for node, schedule in lanes.items():
+            per_node[node]["busy_seconds"] += schedule.makespan()
+            longest = max(longest, schedule.makespan())
+        return longest

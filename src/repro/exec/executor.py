@@ -8,12 +8,12 @@ from typing import Any
 from repro.common.errors import ExecutionError
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
-from repro.exec.distributed import DEFAULT_NODES, DistributedScheduler
-from repro.exec.parallel import (
+from repro.exec.distributed import (
     DEFAULT_MORSEL_ROWS,
+    DEFAULT_NODES,
     DEFAULT_RETRY_LIMIT,
     DEFAULT_WORKERS,
-    MorselScheduler,
+    DistributedScheduler,
 )
 from repro.exec.pipeline import compile_pipelines, run_program
 from repro.plan import logical as plan
@@ -68,27 +68,22 @@ class Executor:
       per-operator pull (each operator's ``batches()`` chained through
       generators) — same rows, same charges, kept for benchmarking the
       fusion win and as a bisection aid.
-    * ``"parallel"`` — morsel-driven parallel execution of the same
-      compiled pipelines (:class:`~repro.exec.parallel.MorselScheduler`):
-      scans split into morsels fanned out across ``workers`` threads,
-      each task running a whole pipeline pass per morsel, with results,
-      ``rows_out`` counters, and charged virtual-time totals identical to
-      ``"batch"``.  ``ResultSet.extra["parallel"]`` carries the scheduler
-      stats, including the modeled parallel makespan.
-    * ``"distributed"`` — sharded scale-out execution of the same
-      compiled pipelines (:class:`~repro.exec.distributed.
-      DistributedScheduler`): shard-local pipeline fragments on ``nodes``
-      virtual nodes (each with ``workers`` morsel lanes) connected by
-      shuffle/broadcast/gather exchanges over the modeled network.
-      Results and per-category charged compute totals are identical to
-      ``"batch"`` at every node count; ``ResultSet.extra["distributed"]``
-      carries the exchange log and per-node timings.
+    * ``"distributed"`` — the fused pipelines executed once, with every
+      scan split into one task per morsel on its shard's node, and the
+      recorded charges placed on ``nodes`` virtual nodes of ``workers``
+      lanes each, connected by shuffle/broadcast/gather exchanges over
+      the modeled network (:class:`~repro.exec.distributed.
+      DistributedScheduler`).  Rows and per-category charged compute
+      totals are identical to ``"batch"`` at every topology;
+      ``ResultSet.extra["distributed"]`` carries the modeled makespan,
+      the exchange log and per-node timings.
+    * ``"parallel"`` — the ``nodes=1`` case of ``"distributed"``: no
+      network, stats in ``ResultSet.extra["parallel"]``.
     * ``"row"`` — the legacy Volcano row-at-a-time path, kept as the
       semantic reference and for parity testing.
 
-    ``workers`` and ``morsel_rows`` tune the parallel and distributed
-    engines, ``nodes`` only the distributed one; the serial engines
-    ignore all three.
+    ``workers`` and ``morsel_rows`` tune the placed engines, ``nodes``
+    only the distributed one; the serial engines ignore all three.
     """
 
     ENGINES = ("batch", "row", "parallel", "distributed")
@@ -113,7 +108,7 @@ class Executor:
         self.nodes = nodes if nodes is not None else DEFAULT_NODES
         self.morsel_rows = (morsel_rows if morsel_rows is not None
                             else DEFAULT_MORSEL_ROWS)
-        # fault injection + recovery knobs for the parallel engine (see
+        # fault injection + recovery knobs for the placed engines (see
         # repro.common.faults); the serial engines ignore them — their
         # fault surface is the storage layer's replicated tables
         self.faults = faults
@@ -123,16 +118,6 @@ class Executor:
         #: (plan node, operator root) of the most recent :meth:`run`, kept
         #: for EXPLAIN ANALYZE's per-operator annotation pass
         self.last_run: tuple[plan.PlanNode, ops.Operator] | None = None
-
-    def with_engine(self, engine: str) -> "Executor":
-        """A sibling executor over the same catalog and clock, differing
-        only in engine (worker/morsel/fusion knobs carry over).  Used by
-        capped measurement to downgrade ``parallel`` to ``batch``."""
-        return Executor(self._catalog, self._clock, engine=engine,
-                        workers=self.workers, morsel_rows=self.morsel_rows,
-                        fused=self.fused, faults=self.faults,
-                        retry_limit=self.retry_limit, registry=self.registry,
-                        nodes=self.nodes)
 
     def build(self, node: plan.PlanNode) -> ops.Operator:
         """Recursively build the operator tree for a plan."""
@@ -162,19 +147,14 @@ class Executor:
             return ops.EmptyRowOp(self._clock)
         raise ExecutionError(f"no operator for plan node {node.label}")
 
-    def _scheduler(self) -> MorselScheduler:
-        return MorselScheduler(self._clock, workers=self.workers,
-                               morsel_rows=self.morsel_rows,
-                               faults=self.faults,
-                               retry_limit=self.retry_limit,
-                               registry=self.registry)
-
-    def _dist_scheduler(self) -> DistributedScheduler:
-        return DistributedScheduler(self._clock, nodes=self.nodes,
-                                    workers=self.workers,
-                                    morsel_rows=self.morsel_rows,
-                                    faults=self.faults,
-                                    registry=self.registry)
+    def _placed(self, operator: ops.Operator):
+        """Run a placed engine: (result blocks, scheduler stats)."""
+        nodes = self.nodes if self.engine == "distributed" else 1
+        return DistributedScheduler(
+            self._clock, nodes=nodes, workers=self.workers,
+            morsel_rows=self.morsel_rows, faults=self.faults,
+            retry_limit=self.retry_limit,
+            registry=self.registry).run(operator)
 
     def _batch_blocks(self, operator: ops.Operator):
         """The batch engine's block stream: the fused pipeline drive loop
@@ -187,15 +167,12 @@ class Executor:
 
     def iter_rows(self, operator: ops.Operator):
         """Row-tuple iterator over an operator tree using the configured
-        engine — the facade that keeps batch (and parallel) execution
+        engine — the facade that keeps batch (and placed) execution
         invisible to row-oriented callers (measurement, db facade, tests).
-        The parallel engine executes eagerly; the iterator replays its
+        The placed engines execute eagerly; the iterator replays their
         materialized result."""
-        if self.engine == "parallel":
-            blocks, _ = self._scheduler().run(operator)
-            return (row for block in blocks for row in block.iter_rows())
-        if self.engine == "distributed":
-            blocks, _ = self._dist_scheduler().run(operator)
+        if self.engine in ("parallel", "distributed"):
+            blocks, _ = self._placed(operator)
             return (row for block in blocks for row in block.iter_rows())
         if self.engine == "batch":
             return (row for block in self._batch_blocks(operator)
@@ -208,14 +185,10 @@ class Executor:
         operator = self.build(node)
         self.last_run = (node, operator)
         extra: dict[str, Any] = {}
-        if self.engine == "parallel":
-            blocks, stats = self._scheduler().run(operator)
+        if self.engine in ("parallel", "distributed"):
+            blocks, stats = self._placed(operator)
             rows = [row for block in blocks for row in block.iter_rows()]
-            extra["parallel"] = stats
-        elif self.engine == "distributed":
-            blocks, stats = self._dist_scheduler().run(operator)
-            rows = [row for block in blocks for row in block.iter_rows()]
-            extra["distributed"] = stats
+            extra[self.engine] = stats
         elif self.engine == "batch" and self.fused:
             program = compile_pipelines(operator)
             rows = [row for block in run_program(program, self._clock)

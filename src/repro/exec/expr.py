@@ -442,8 +442,7 @@ def compile_expr_vector(expr: ast.Expr,
         # pinned process-wide by the compile cache, so an unbounded dict
         # would leak one array pair per distinct length seen.  The cached
         # arrays are read-only by the evaluator contract (consumers copy
-        # before mutating), and concurrent cache writes under the
-        # parallel engine are benign rebuilds.
+        # before mutating).
         value = expr.value
         cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -902,10 +901,7 @@ def _compile_like_vector(expr: ast.BinaryOp,
     :func:`_compile_raw_vector` (raw values only), and each *distinct
     runtime pattern value* compiles its matcher once into a per-plan
     cache keyed by the pattern string — the row path re-escapes and
-    re-compiles the regex for every row.  The cache is shared compiled
-    state under the parallel engine: reads and inserts are benign under
-    the GIL (worst case a matcher is compiled twice), the same sanctioned
-    exception class as the predicate wrapper's fallback latch.
+    re-compiles the regex for every row.
     """
     left = _compile_raw_vector(expr.left, layout)
     if left is None:
@@ -972,14 +968,8 @@ def compile_predicate_batch(expr: ast.Expr, layout: RowLayout):
     Returns ``block -> bool mask`` of rows that pass (NULL = fail).  Uses
     the vectorized path when possible and transparently degrades to
     row-at-a-time evaluation inside the block otherwise — including when a
-    vector plan is defeated at runtime by unexpected column types.
-
-    Thread-safety note for the parallel engine: the runtime degrade is a
-    one-way latch on shared state (``state["vector"] = None``).  The write
-    is idempotent and order-independent — concurrent workers at worst both
-    evaluate their block row-wise before the latch sticks — so it is the
-    single sanctioned exception to the "compiled state is read-only"
-    contract in ``repro/exec/operators.py``.
+    vector plan is defeated at runtime by unexpected column types; the
+    degrade is a one-way latch (``state["vector"] = None``).
     """
     return _cached("pred", expr, layout, _compile_predicate_batch)
 

@@ -30,16 +30,9 @@ def measure_plan_latency(executor: Executor, clock: SimClock,
                          cap_virtual: float | None = None) -> MeasuredPlan:
     """Execute a plan under an optional virtual-time budget.
 
-    A capped measurement downgrades a ``parallel`` executor to the serial
-    batch engine: the parallel scheduler enforces budgets only at phase
-    boundaries (coarser than the serial engines' per-charge enforcement),
-    and its modeled makespan is not the per-charge latency the learned
-    optimizer trains on.  Charged totals are engine-identical, so the
-    downgrade measures the same virtual latency an uncapped parallel run
-    would have charged.
+    Every engine enforces the budget at the charge that crosses it and
+    charges the same totals, so the measured latency is engine-independent.
     """
-    if cap_virtual is not None and executor.engine == "parallel":
-        executor = executor.with_engine("batch")
     start = clock.now
     if cap_virtual is not None:
         clock.set_limit(start + cap_virtual)

@@ -30,29 +30,9 @@ deferred mask), ``filter_mask`` (mask without the select),
 top of the same hooks, so the fused and unfused drives cannot drift:
 identical rows, identical charges, same order.
 
-A third caller exists since the morsel-driven parallel engine
-(``repro/exec/parallel.py``): instead of driving ``batches()``, the
-scheduler calls the *parallel hooks* — ``process_morsel``/``process_block``
-for stateless map-style operators, and ``partial``/``merge`` pairs
-(``partial_block``/``merge_partial``/``finish_partials`` on aggregation,
-plus ``split_partial``/``merge_partition``/``finish_partitions`` for the
-hash-partitioned wide-GROUP-BY merge; ``build_block``/``merge_build``/
-``probe_block`` on hash join; ``sort_block``/``merge_runs`` on sort) for
-stateful ones.  Contract for every hook: it charges all of its virtual-time cost to
-the clock it is *passed* (a per-worker shard), never to ``self._clock``; it
-never touches ``self.rows_out`` (the scheduler attributes output counts
-after reassembly, keeping the counters race-free); and it is safe to call
-concurrently from multiple threads because compiled state
-(``compile_expr_cached`` evaluators, predicate batch evaluators) is
-effectively read-only after construction — the one exception is the batch
-predicate wrapper's fallback latch, an idempotent one-way write (see
-``compile_predicate_batch``) — and every :class:`RowBlock` is owned by
-exactly one worker at a time.  For SeqScan/Filter/Project/HashJoin,
-``batches()`` is implemented *on top of* the hooks, so the two paths
-cannot drift apart; AggregateOp's ``batches()`` keeps its own accumulation
-strategies and is held together with the partial/merge path by the
-three-way parity sweep in ``tests/test_batch_parity.py`` — change either
-side only with that suite in hand.
+The parallel and distributed engines run the same fused hooks through
+the batch engine's fused driver; ``repro/exec/distributed.py`` only
+records where each morsel's charges fall.
 
 The serial batch breakers are array kernels over typed columns, checked
 against the row engine by ``tests/test_columnar_kernels.py``:
@@ -247,8 +227,8 @@ class SeqScanOp(Operator):
 
     def process_morsel(self, columns, n: int,
                        clock: SimClock) -> RowBlock | None:
-        """Parallel hook: materialize one scan morsel, apply the pushed-down
-        predicate, charge ``clock``.  Returns None when every row is
+        """Materialize one scan batch, apply the pushed-down predicate,
+        charge ``clock``.  Returns None when every row is
         rejected."""
         out = self.scan_block(self.make_block(columns, n), clock)
         if out is None:
@@ -388,7 +368,7 @@ class ProjectOp(Operator):
                 continue
             evaluators.append(compile_expr_cached(item.expr, child.layout))
             sources.append(_value_source(item.expr, child.layout))
-            slots.append(("", _output_name(item, i)))
+            slots.append(("", ast.output_name(item, i)))
         super().__init__(RowLayout(slots), clock)
         self.plan_node = node
         self._child = child
@@ -573,8 +553,8 @@ class HashJoinOp(Operator):
 
     def build_block(self, block: RowBlock, clock: SimClock
                     ) -> tuple[int, list[tuple[Any, tuple]]]:
-        """Build-side parallel hook: ``(row_count, [(key, row), ...])`` for
-        one block, NULL keys dropped, charging ``clock``.  ``row_count`` is
+        """Build-side hook: ``(row_count, [(key, row), ...])`` for one
+        block, NULL keys dropped, charging ``clock``.  ``row_count`` is
         the *input* count (NULL keys included) so the spill decision sees
         the same build size as the serial engines."""
         n = len(block)
@@ -584,26 +564,11 @@ class HashJoinOp(Operator):
                  if key is not None]
         return n, pairs
 
-    def merge_build(self, parts: list[tuple[int, list[tuple[Any, tuple]]]],
-                    clock: SimClock) -> tuple[dict[Any, list[tuple]], float]:
-        """Merge per-morsel build parts — in morsel order, so each bucket
-        lists build rows in exactly the serial engines' insertion order —
-        and charge any spill surcharge to ``clock``.  Returns
-        ``(buckets, probe_factor)``."""
-        buckets: dict[Any, list[tuple]] = {}
-        build_rows = 0
-        for n, pairs in parts:
-            build_rows += n
-            for key, row in pairs:
-                buckets.setdefault(key, []).append(row)
-        return buckets, self._spill(build_rows, clock)
-
     def probe_block(self, block: RowBlock, buckets: dict[Any, list[tuple]],
                     probe_factor: float,
                     clock: SimClock) -> RowBlock | None:
-        """Probe-side parallel hook: join one probe block against the
-        (read-only) bucket table, charging ``clock``; None when no row
-        survives."""
+        """Probe-side hook: join one probe block against the (read-only)
+        bucket table, charging ``clock``; None when no row survives."""
         clock.advance_batch(CostModel.HASH_PROBE_ROW * probe_factor,
                             len(block), cat.JOIN)
         keys = _source_values(self._right_key_source, block)
@@ -866,6 +831,36 @@ class _GroupTable:
         self.index: dict[Any, int] = {}
         self.reps: list[list] = [[] for _ in range(width)]
         self.aggs = aggs
+        #: while ``marker`` is set (the placement model sets a node), each
+        #: block's rows per group add up in ``marks[marker]``, indexed by
+        #: group id: the placement model sizes per-node states with them
+        self.marker: int | None = None
+        self.marks: dict[int, np.ndarray] = {}
+        # group ids of the int keys the factorized kernel registered,
+        # dense over [_lo, _lo + len(_dense)) with -1 for no group: a
+        # block whose keys are all known skips factorizing.  None until
+        # such a key arrives, False once the keys span too wide
+        self._dense: np.ndarray | None | bool = None
+        self._lo = 0
+        # (dictionary, group id per code + one for NULL's code -1) of the
+        # last dictionary-coded key column seen
+        self._codes: tuple[list, np.ndarray] | None = None
+
+    def touch(self, gids, rows: np.ndarray | None = None) -> None:
+        """Count one row per entry of ``gids`` against the marker
+        (``rows``: those counts per group id, when already known)."""
+        if self.marker is None:
+            return
+        if rows is None:
+            rows = np.bincount(np.asarray(gids, dtype=np.int64),
+                               minlength=len(self.index))
+        marks = self.marks.get(self.marker)
+        if marks is None or len(marks) < len(rows):
+            grown = np.zeros(2 * len(rows), dtype=np.int64)
+            if marks is not None:
+                grown[:len(marks)] = marks
+            self.marks[self.marker] = marks = grown
+        marks[:len(rows)] += rows
 
     def __len__(self) -> int:
         return len(self.index)
@@ -883,10 +878,86 @@ class _GroupTable:
         """Register new groups in order, representatives column-wise."""
         start = len(self.index)
         self.index.update(zip(keys, range(start, start + len(keys))))
+        self._note_ints(keys, start)
         for column, values in zip(self.reps, rep_columns):
             column.extend(values)
         for agg in self.aggs:
             agg.grow(len(self.index))
+
+    _DENSE_SPAN = 1 << 20
+
+    def _note_ints(self, keys: list, start: int) -> None:
+        """Enter the int keys of groups ``start, start+1, ...`` in the
+        dense lookup (or give it up when the keys span too wide)."""
+        if self._dense is False or not keys:
+            return
+        gids = np.arange(start, start + len(keys))
+        if not all(type(key) is int for key in keys):
+            found = [j for j, key in enumerate(keys) if type(key) is int]
+            if not found:
+                return
+            keys, gids = [keys[j] for j in found], gids[found]
+        if not _INT64.min <= min(keys) <= max(keys) <= _INT64.max:
+            self._dense = False
+            return
+        new_keys = np.array(keys, dtype=np.int64)
+        lo, hi = int(new_keys.min()), int(new_keys.max())
+        old = self._dense
+        if old is not None:
+            lo, hi = min(lo, self._lo), max(hi, self._lo + len(old) - 1)
+        if hi - lo >= self._DENSE_SPAN:
+            self._dense = False
+            return
+        dense = np.full(hi - lo + 1, -1, dtype=np.int64)
+        if old is not None:
+            dense[self._lo - lo:self._lo - lo + len(old)] = old
+        dense[new_keys - lo] = gids
+        self._dense, self._lo = dense, lo
+
+    def dense_gids(self, data: np.ndarray) -> np.ndarray | None:
+        """Every row's group id for an int64 key array whose keys are all
+        known to the dense lookup, else None."""
+        dense = self._dense
+        if dense is None or dense is False or not len(data):
+            return None
+        offsets = data - self._lo
+        if offsets.min() < 0 or offsets.max() >= len(dense):
+            return None
+        gids = dense[offsets]
+        return None if (gids < 0).any() else gids
+
+    def lookup(self, keys: list, ints: np.ndarray | None) -> np.ndarray:
+        """Each key's group id, -1 for a new key.  ``ints`` holds the
+        leading keys as int64 (an i8 block's non-NULL keys); those the
+        dense lookup covers skip the index dict."""
+        gids = np.full(len(keys), -1, dtype=np.int64)
+        dense = self._dense
+        if ints is not None and dense is not None and dense is not False:
+            offsets = ints - self._lo
+            inside = np.flatnonzero((offsets >= 0) & (offsets < len(dense)))
+            gids[inside] = dense[offsets[inside]]
+        index = self.index
+        for j in np.flatnonzero(gids < 0).tolist():
+            gids[j] = index.get(keys[j], -1)
+        return gids
+
+    def code_gids(self, col: TypedColumn,
+                  codes: np.ndarray) -> np.ndarray | None:
+        """Every row's group id for a dictionary-coded key column whose
+        codes all map to known groups, else None."""
+        if self._codes is None or self._codes[0] is not col.dictionary:
+            return None
+        gids = self._codes[1][codes]
+        return None if (gids < 0).any() else gids
+
+    def note_codes(self, col: TypedColumn, codes: np.ndarray,
+                   gids: np.ndarray) -> None:
+        """Remember the group ids of a dictionary column's ``codes``."""
+        if self._codes is None or self._codes[0] is not col.dictionary:
+            self._codes = (col.dictionary,
+                           np.full(len(col.dictionary) + 1, -1,
+                                   dtype=np.int64))
+        self._codes[1][codes] = gids
 
 
 def _factorize(col: TypedColumn, mask: np.ndarray | None
@@ -931,7 +1002,7 @@ class AggregateOp(Operator):
 
     def __init__(self, node: plan.Aggregate, child: Operator,
                  clock: SimClock):
-        slots = [("", _output_name(item, i))
+        slots = [("", ast.output_name(item, i))
                  for i, item in enumerate(node.items)]
         super().__init__(RowLayout(slots), clock)
         self.plan_node = node
@@ -1091,6 +1162,7 @@ class AggregateOp(Operator):
         if not table:
             first = 0 if mask is None else int(mask.argmax())
             table.add((), tuple(c[first] for c in block.columns))
+        table.touch((0,))
         for agg, entry in zip(table.aggs, self._call_arrays(block)):
             if entry is None:
                 agg.counts[0] += count
@@ -1144,6 +1216,7 @@ class AggregateOp(Operator):
             if gid is None:
                 first = int(gmask.argmax())
                 gid = table.add(key, tuple(c[first] for c in block.columns))
+            table.touch((gid,))
             rows = int(np.count_nonzero(gmask))
             for agg, entry in zip(table.aggs, call_arrays):
                 if entry is None:
@@ -1155,7 +1228,8 @@ class AggregateOp(Operator):
     def _kernel_inputs(self, block, table, mask) -> list | None:
         """Per aggregate call, what the factorized kernel folds in: None
         for COUNT(*), ``(live, None)`` for count(x) — the selected rows'
-        non-NULL mask — and ``(live, data)`` for sum/avg/min/max over an
+        non-NULL mask, None when the column has no NULL — and
+        ``(live, data)`` for sum/avg/min/max over an
         int64/float64 column.  Returns None when any call needs the
         per-group path: DISTINCT, computed arguments, other column kinds,
         a running field already held in another representation, an int
@@ -1169,9 +1243,10 @@ class AggregateOp(Operator):
             if agg.seen is not None or source[0] != _SLOT:
                 return None
             col = block.columns[source[1]]
-            live = ~block.null_mask(source[1])
-            if mask is not None:
-                live = live[mask]
+            nulls = block.null_mask(source[1])
+            live = None
+            if nulls.any():
+                live = ~nulls if mask is None else ~nulls[mask]
             if agg.field is None:
                 inputs.append((live, None))
                 continue
@@ -1182,7 +1257,8 @@ class AggregateOp(Operator):
             if values is None:
                 return None
             data = col.data if mask is None else col.data[mask]
-            data = data[live]
+            if live is not None:
+                data = data[live]
             if col.kind == "i8" and agg.field == "total":
                 bound = np.abs(data.astype(np.float64)).sum()
                 if len(table):
@@ -1213,36 +1289,58 @@ class AggregateOp(Operator):
         the same left-to-right running sum the row engine computes,
         carried across blocks, bit for bit.  When an aggregate call needs
         the per-group path (see :meth:`_kernel_inputs`), each group's
-        rows are replayed through it instead, still in row order."""
-        keys, first, inverse = _factorize(keycol, mask)
-        if not keys:
-            return
-        index = table.index
-        gids = np.array([index.get(key, -1) for key in keys], dtype=np.int64)
-        fresh = np.flatnonzero(gids < 0)
+        rows are replayed through it instead, still in row order.
+
+        A block whose keys all belong to known groups skips factorizing:
+        int64 keys index the table's dense key lookup and dictionary
+        codes its per-dictionary code lookup, giving the same group ids
+        the dict lookups would."""
         rows = None if mask is None else np.flatnonzero(mask)
-        if len(fresh):
-            fresh = fresh[np.argsort(first[fresh], kind="stable")]
-            gids[fresh] = np.arange(len(table), len(table) + len(fresh))
-            reps = first[fresh] if rows is None else rows[first[fresh]]
-            table.extend([keys[j] for j in fresh.tolist()],
-                         [block.values_list(slot, reps)
-                          for slot in range(len(block.columns))])
-        row_gids = gids[inverse]
+        data = keycol.data if mask is None else keycol.data[mask]
+        row_gids = None
+        if keycol.kind == "i8" and keycol.valid is None:
+            row_gids = table.dense_gids(data)
+        elif keycol.kind == "dict":
+            row_gids = table.code_gids(keycol, data)
+        if row_gids is None:
+            keys, first, inverse = _factorize(keycol, mask)
+            if not keys:
+                return
+            ints = None
+            if keycol.kind == "i8":
+                ints = data[first[:len(keys) - (keys[-1] is None)]]
+            gids = table.lookup(keys, ints)
+            fresh = np.flatnonzero(gids < 0)
+            if len(fresh):
+                fresh = fresh[np.argsort(first[fresh], kind="stable")]
+                gids[fresh] = np.arange(len(table), len(table) + len(fresh))
+                reps = first[fresh] if rows is None else rows[first[fresh]]
+                table.extend([keys[j] for j in fresh.tolist()],
+                             [block.values_list(slot, reps)
+                              for slot in range(len(block.columns))])
+            if keycol.kind == "dict":
+                table.note_codes(keycol, data[first], gids)
+            row_gids = gids[inverse]
         inputs = self._kernel_inputs(block, table, mask)
         if inputs is None:
+            table.touch(row_gids)
             self._replay_groups(block, table, row_gids, rows)
             return
         size = len(table)
+        per_group = None  # every row's count, shared by NULL-free calls
         for agg, entry in zip(table.aggs, inputs):
-            if entry is None:
-                agg.counts[:size] += np.bincount(row_gids, minlength=size)
-                continue
-            live, data = entry
-            live_gids = row_gids[live]
-            agg.counts[:size] += np.bincount(live_gids, minlength=size)
+            live, data = (None, None) if entry is None else entry
+            if live is None:
+                if per_group is None:
+                    per_group = np.bincount(row_gids, minlength=size)
+                agg.counts[:size] += per_group
+                live_gids = row_gids
+            else:
+                live_gids = row_gids[live]
+                agg.counts[:size] += np.bincount(live_gids, minlength=size)
             if data is not None:
                 agg.fold(live_gids, data)
+        table.touch(row_gids, per_group)
 
     def _replay_groups(self, block, table, row_gids, rows) -> None:
         """The per-group path over factorized keys: each group's rows, in
@@ -1286,179 +1384,15 @@ class AggregateOp(Operator):
                     table.add(key, tuple(c[i] for c in block.columns))
             else:
                 bucket.append(i)
-        for key, indices in partition.items():
-            gid = table.index[key]
+        gids = [table.index[key] for key in partition]
+        table.touch(gids)
+        for gid, indices in zip(gids, partition.values()):
             for agg, entry in zip(table.aggs, call_arrays):
                 if entry is None:
                     agg.counts[gid] += len(indices)
                 else:
                     values, clean = entry
                     agg.add_values(gid, [values[i] for i in indices], clean)
-
-    # -- parallel hooks ----------------------------------------------------
-    #
-    # A morsel partial is an insertion-ordered dict:
-    #   group key -> [representative row, entries]
-    # where entries align with self._agg_calls and each entry is
-    # ("count", n) for COUNT(*) or ("values", values, clean) holding the
-    # group's raw argument values in row order (clean = provably NULL-free).
-    # Partials keep raw values instead of collapsed totals so the merge can
-    # replay accumulation in global morsel order: _Accumulator.add_values
-    # adds strictly left-to-right seeded with the running total, which makes
-    # float sums and DISTINCT first-seen order bit-identical to the serial
-    # engines no matter how morsels were distributed across workers.
-
-    def partial_block(self, block: RowBlock, clock: SimClock) -> dict:
-        """Thread-local parallel hook: partial-aggregate one non-empty
-        block, charging ``clock``.  Uses the row-order-preserving partition
-        (the one the serial paths fall back to), so group discovery order
-        within the morsel matches the serial engines."""
-        clock.advance_batch(CostModel.HASH_BUILD_ROW, len(block), cat.AGG)
-        call_arrays = self._call_arrays(block)
-        partial: dict[Any, list] = {}
-        if not self._node.group_by:
-            entries = [("count", len(block)) if entry is None
-                       else ("values", entry[0].tolist(), entry[1])
-                       for entry in call_arrays]
-            partial[()] = [tuple(c[0] for c in block.columns), entries]
-            return partial
-        key_columns = [_source_values(source, block)
-                       for source in self._group_sources]
-        keys = (key_columns[0] if len(key_columns) == 1
-                else list(zip(*key_columns)))
-        partition: dict[Any, list[int]] = {}
-        for i, key in enumerate(keys):
-            bucket = partition.get(key)
-            if bucket is None:
-                partition[key] = [i]
-            else:
-                bucket.append(i)
-        for key, indices in partition.items():
-            entries = []
-            for entry in call_arrays:
-                if entry is None:
-                    entries.append(("count", len(indices)))
-                else:
-                    values, clean = entry
-                    entries.append(("values", [values[i] for i in indices],
-                                    clean))
-            partial[key] = [tuple(c[indices[0]] for c in block.columns),
-                            entries]
-        return partial
-
-    @staticmethod
-    def _apply_entries(accs: list[_Accumulator], entries: list) -> None:
-        """Replay one partial's entries — ("count", n) or
-        ("values", values, clean) — into a group's accumulators; the one
-        place the partial entry format is interpreted, shared by both
-        merge paths."""
-        for acc, entry in zip(accs, entries):
-            if entry[0] == "count":
-                acc.add_count(entry[1])
-            else:
-                acc.add_values(entry[1], entry[2])
-
-    def merge_partial(self, groups, group_order, partial: dict) -> None:
-        """Fold one morsel partial into the global accumulator state.
-        Callers must merge partials in morsel order; the first morsel that
-        discovers a group supplies its representative row, exactly as the
-        serial engines' first matching row would."""
-        for key, (representative, entries) in partial.items():
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = (self._new_accs(), representative)
-                group_order.append(key)
-            self._apply_entries(state[0], entries)
-
-    def finish_partials(self, partials: list[dict]) -> RowBlock | None:
-        """Merge morsel partials (already in morsel order) and emit the
-        result block, or None when there is nothing to emit (grouped query
-        over zero rows).  An empty partial list is valid: a global
-        aggregate over zero rows still yields its default row."""
-        groups: dict[Any, tuple[list[_Accumulator], tuple]] = {}
-        group_order: list[Any] = []
-        for partial in partials:
-            self.merge_partial(groups, group_order, partial)
-        rows = list(self._result_rows(groups, group_order, count=False))
-        if rows:
-            return self._emit_block(RowBlock.from_rows(self.layout, rows))
-        return None
-
-    # -- partitioned merge (wide GROUP BY) ---------------------------------
-    #
-    # For high-cardinality GROUP BY the single morsel-order merge dict
-    # becomes the one serial funnel in an otherwise parallel plan.  The
-    # partitioned path radix-partitions group keys by hash across P
-    # per-worker tables: split_partial slices each morsel partial into P
-    # sub-dicts (parallel over morsels), merge_partition folds one
-    # partition's slices together across all morsels (parallel over
-    # partitions — disjoint key sets, no shared state), and
-    # finish_partitions reassembles global first-seen group order from the
-    # (morsel, position) stamps recorded at split time.  Because every
-    # group lives in exactly one partition and its slices are still folded
-    # in morsel order, the raw-value replay through _Accumulator.add_values
-    # is unchanged — float sums and DISTINCT first-seen order stay
-    # bit-identical to the serial engines.  Like the plain merge, the
-    # partitioned merge charges nothing: every per-row cost was already
-    # charged in a worker (see docs/parallel.md).
-
-    # partials whose widest morsel stays at or under the mask-partition
-    # cutoff keep the plain serial merge; past it the merge dict is worth
-    # partitioning
-    PARTITION_MIN_KEYS = _MASK_PARTITION_MAX_KEYS
-
-    def split_partial(self, partial: dict, parts: int,
-                      hasher=hash) -> list[dict]:
-        """Parallel hook: slice one morsel partial into ``parts``
-        hash-partitioned sub-dicts of ``key -> (position, state)``.  The
-        recorded position (the key's index within the morsel partial)
-        lets finish_partitions rebuild global first-seen order across
-        partitions.  Equal keys hash equally, so a group's slices all land
-        in the same partition; NaN keys hash by object identity, matching
-        the identity grouping the merge dict already gave them.
-
-        ``hasher`` overrides the partition hash: the distributed engine
-        passes a process-independent stable hash so which node owns each
-        group — and therefore the shuffle bytes it records — is
-        reproducible across runs (Python's builtin ``hash`` is
-        per-process salted for strings)."""
-        out: list[dict] = [{} for _ in range(parts)]
-        for position, (key, state) in enumerate(partial.items()):
-            out[hasher(key) % parts][key] = (position, state)
-        return out
-
-    def merge_partition(self, slices: list[dict]) -> dict:
-        """Parallel hook: fold one partition's per-morsel slices (in
-        morsel order) into ``key -> (accumulators, representative,
-        first_seen)`` where ``first_seen`` is the (morsel index, position)
-        of the key's first appearance."""
-        groups: dict[Any, tuple[list[_Accumulator], tuple, tuple]] = {}
-        for morsel_idx, sub in enumerate(slices):
-            for key, (position, (representative, entries)) in sub.items():
-                state = groups.get(key)
-                if state is None:
-                    state = groups[key] = (self._new_accs(), representative,
-                                           (morsel_idx, position))
-                self._apply_entries(state[0], entries)
-        return groups
-
-    def finish_partitions(self, partitions: list[dict]) -> RowBlock | None:
-        """Reassemble partition merges into one result block, restoring
-        the serial engines' global first-seen group order by sorting on
-        the (morsel, position) stamps — integer pairs, unique per key, so
-        group keys themselves are never compared."""
-        groups: dict[Any, tuple[list[_Accumulator], tuple]] = {}
-        stamped: list[tuple[tuple, Any]] = []
-        for partition in partitions:
-            for key, (accs, representative, first_seen) in partition.items():
-                groups[key] = (accs, representative)
-                stamped.append((first_seen, key))
-        stamped.sort(key=lambda pair: pair[0])
-        group_order = [key for _, key in stamped]
-        rows = list(self._result_rows(groups, group_order, count=False))
-        if rows:
-            return self._emit_block(RowBlock.from_rows(self.layout, rows))
-        return None
 
     def _result_rows(self, groups, group_order,
                      count: bool = True) -> Iterator[tuple]:
@@ -1500,7 +1434,7 @@ class _Descending:
     Lets a multi-key composite mix ASC and DESC components in one tuple:
     ``reverse=True`` cannot flip individual keys, and numeric negation
     cannot flip strings.  Only ``__lt__``/``__eq__`` are needed — tuple
-    comparison and the k-way merge heap use nothing else."""
+    comparison uses nothing else."""
 
     __slots__ = ("key",)
 
@@ -1634,60 +1568,6 @@ class SortOp(Operator):
                 ranks.append(column.valid if descending else ~column.valid)
         return ranks
 
-    # -- parallel hooks ----------------------------------------------------
-    #
-    # The morsel scheduler sorts each input block into a *run* of
-    # (composite key, row) pairs on a worker (sort_block), then k-way
-    # merges the runs on the serial lane (merge_runs).  Charge split:
-    # each run pays its own n_i*log2(n_i) on the worker that sorted it,
-    # and the merge pays the remainder n*log2(n) - sum(n_i*log2(n_i)) —
-    # about n*log2(k), the classic k-way merge cost — so the charged
-    # total is exactly what the serial engines' single sort charges.
-    # Determinism: runs arrive in morsel order and the merge heap breaks
-    # key ties by (run index, position), which is precisely the serial
-    # sort's stability over input order; rows are never compared.
-
-    def sort_block(self, block: RowBlock, clock: SimClock
-                   ) -> list[tuple[tuple, tuple]]:
-        """Parallel hook: sort one morsel's rows into a keyed run,
-        charging ``clock`` the run's share of the sort cost."""
-        rows = block.to_rows()
-        cost = self._sort_cost(len(rows))
-        if cost:
-            clock.advance(cost, cat.SORT)
-        run = [(self._composite_key(row), row) for row in rows]
-        run.sort(key=lambda pair: pair[0])
-        return run
-
-    def merge_runs(self, runs: list[list[tuple[tuple, tuple]]],
-                   clock: SimClock) -> list[RowBlock]:
-        """Serial-lane parallel hook: k-way merge of per-morsel sorted
-        runs; charges ``clock`` the merge remainder so run charges plus
-        this equal the serial engines' total.  Does not touch
-        ``rows_out`` — the scheduler attributes counts."""
-        import heapq
-        runs = [run for run in runs if run]
-        total = sum(len(run) for run in runs)
-        remainder = self._sort_cost(total) - sum(
-            self._sort_cost(len(run)) for run in runs)
-        if remainder > 0:
-            clock.advance(remainder, cat.SORT)
-        if not runs:
-            return []
-        if len(runs) == 1:
-            rows = [row for _, row in runs[0]]
-        else:
-            heap = [(run[0][0], idx, 0) for idx, run in enumerate(runs)]
-            heapq.heapify(heap)
-            rows = []
-            while heap:
-                key, idx, pos = heapq.heappop(heap)
-                rows.append(runs[idx][pos][1])
-                pos += 1
-                if pos < len(runs[idx]):
-                    heapq.heappush(heap, (runs[idx][pos][0], idx, pos))
-        return list(rows_to_blocks(self.layout, rows))
-
 
 def _is_nan(value: Any) -> bool:
     """True for float NaN (the one value that defeats ``==``/``<`` total
@@ -1714,7 +1594,7 @@ def _sort_key(value: Any) -> tuple:
     gets its own deterministic bucket ``(0.5, "")`` between numbers and
     strings — mirroring the NULLs-last rule — because a raw NaN defeats
     Python's sort comparisons and would make the output input-order-
-    dependent (and a k-way run merge non-deterministic)."""
+    dependent."""
     if value is None:
         return (2, "")
     if isinstance(value, bool):
@@ -1823,7 +1703,7 @@ class DistinctOp(Operator):
         """Fused stage hook: the streaming DISTINCT step for one block —
         charge ``clock``, keep first-seen rows in order, None when the
         whole block is duplicates.  Order-sensitive (the shared ``seen``
-        set), so the parallel engine runs it on the serial lane."""
+        set), so the placement model counts it as serial lane work."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, len(block), cat.DISTINCT)
         fresh: list[tuple] = []
         for row in block.iter_rows():
@@ -1846,13 +1726,3 @@ class EmptyRowOp(Operator):
 
     def batches(self) -> Iterator[RowBlock]:
         yield self._emit_block(RowBlock.from_rows(self.layout, [()]))
-
-
-def _output_name(item: ast.SelectItem, position: int) -> str:
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, ast.ColumnRef):
-        return item.expr.name
-    if isinstance(item.expr, ast.FuncCall):
-        return item.expr.name
-    return f"col{position}"

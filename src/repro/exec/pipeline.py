@@ -25,12 +25,13 @@ engines:
   it actually projects.  No ``RowBlock.from_*`` / ``select`` copy happens
   per stage — at most one materialization per pass, and none at all for
   mask+slot-projection chains.
-* :func:`run_program` is the serial drive loop (the batch engine's
-  default); ``repro/exec/parallel.py`` drives the same compiled pipelines
-  morsel-wise (one task pushes one morsel through the pipeline's whole
-  stage chain on a worker), and the AI loader's PREDICT materialization
-  feeds from :func:`table_blocks`, the same scan-block primitive the
-  pipeline sources use.
+* :func:`run_program` is the drive loop of the batch engine;
+  :func:`run_placed` is the same loop for the parallel and distributed
+  engines, which split each scan into one task per morsel and report the
+  task boundaries to a *placement* (``repro/exec/distributed.py``) that
+  schedules the recorded charges afterwards.  The AI loader's PREDICT
+  materialization feeds from :func:`table_blocks`, the same scan-block
+  primitive the pipeline sources use.
 
 Charge parity
 -------------
@@ -40,10 +41,10 @@ operator charged for the same rows, in the same order (see
 ``EVAL_PREDICATE`` per scanned row, filter ``EVAL_PREDICATE`` per input
 row, project ``TUPLE_CPU`` per *surviving* row, probe per the hash-join
 hooks.  Deferring a selection never changes a charge because charges are
-keyed to row counts, not to copies.  The three-way parity suite
-(`tests/test_batch_parity.py`, `tests/test_pipeline.py`) holds fused,
-unfused, row, and parallel execution to identical rows and charged
-totals.
+keyed to row counts, not to copies.  The parity suites
+(`tests/test_batch_parity.py`, `tests/test_pipeline.py`) hold fused,
+unfused, row, parallel and distributed execution to identical rows and
+charged totals.
 
 LIMIT early exit
 ----------------
@@ -135,11 +136,11 @@ class BlockCarrier:
 class PipelineStage:
     """One fused streaming step: carrier in, carrier (or None) out.
 
-    ``parallel_safe`` stages are stateless after construction and may run
-    concurrently on morsel workers (the parallel-hook contract in
-    ``repro/exec/operators.py``); unsafe ones carry order-sensitive state
-    (Distinct's seen set, Limit's counters) and run serially.  Stages
-    never touch ``rows_out`` — the driver attributes counts.
+    ``parallel_safe`` stages are stateless after construction, so the
+    placement model may put each morsel's pass on any worker; unsafe ones
+    carry order-sensitive state (Distinct's seen set, Limit's counters)
+    and count as serial work.  Stages never touch ``rows_out`` — the
+    driver attributes counts.
     """
 
     parallel_safe = True
@@ -295,28 +296,22 @@ class SortSink(PipelineSink):
 
 class BuildSink(PipelineSink):
     """Hash-join build side: buckets in input order, spill surcharge at
-    finish.  The parallel scheduler fills it through the build/merge
-    parallel hooks instead (:meth:`set_built`); either way the probe
-    stage reads the same ``buckets``/``probe_factor``."""
+    finish; the probe stage reads ``buckets``/``probe_factor``."""
 
     def __init__(self, op: ops.HashJoinOp):
         super().__init__(op)
         self.buckets: dict = {}
         self.probe_factor = 1.0
-        self._build_rows = 0
+        self.build_rows = 0
 
     def absorb(self, block, clock):
         n, pairs = self.op.build_block(block, clock)
-        self._build_rows += n
+        self.build_rows += n
         for key, row in pairs:
             self.buckets.setdefault(key, []).append(row)
 
     def finish(self, clock):
-        self.probe_factor = self.op._spill(self._build_rows, clock)
-
-    def set_built(self, buckets: dict, probe_factor: float) -> None:
-        self.buckets = buckets
-        self.probe_factor = probe_factor
+        self.probe_factor = self.op._spill(self.build_rows, clock)
 
 
 # -- sources ------------------------------------------------------------------
@@ -390,14 +385,9 @@ class OperatorSource(PipelineSource):
 class SerialOpSource(PipelineSource):
     """Operators without a fused decomposition (NestedLoopJoin, unknown
     breakers): their child subtrees compile to their own pipelines; this
-    source swaps the children for block replays and drives the
-    operator's unchanged serial path.
-
-    Two replay modes.  :meth:`carriers` (the parallel scheduler) expects
-    the child pipelines already run into their :class:`CollectSink`\\ s.
-    :meth:`lazy_carriers` (the serial fused driver) hands the operator
-    *generators* that drive the child pipelines on demand — the
-    operator's own pull order decides what actually runs, so a LIMIT
+    source swaps the children for *generators* that drive the child
+    pipelines on demand and runs the operator's unchanged serial path —
+    the operator's own pull order decides what actually runs, so a LIMIT
     above a NestedLoopJoin stops the lazily-pulled side mid-scan and
     charges exactly what the unfused engine charges."""
 
@@ -408,20 +398,14 @@ class SerialOpSource(PipelineSource):
         self.op = op
         self.children = children
 
-    def _replay(self, blocks_for) -> Iterator[BlockCarrier]:
+    def carriers(self, clock):
         for attr, child_pipeline in self.children:
             child = getattr(self.op, attr)
             setattr(self.op, attr,
-                    BlockSource(child.layout, blocks_for(child_pipeline),
+                    BlockSource(child.layout, _drive(child_pipeline, clock),
                                 self.op._clock))
         for block in self.op.batches():
             yield BlockCarrier(block)
-
-    def carriers(self, clock):
-        return self._replay(lambda cp: cp.sink.result_blocks)
-
-    def lazy_carriers(self, clock):
-        return self._replay(lambda cp: _drive(cp, clock))
 
 
 class SinkSource(PipelineSource):
@@ -454,6 +438,13 @@ class Pipeline:
         self.stages: list[PipelineStage] = []
         self.sink: PipelineSink | None = None
         self.inputs: list[Pipeline] = []
+
+    @property
+    def serial_from(self) -> int:
+        """Index of the first order-sensitive stage: the stages before it
+        may run on any worker, morsel by morsel."""
+        return next((i for i, stage in enumerate(self.stages)
+                     if not stage.parallel_safe), len(self.stages))
 
     @property
     def stopped(self) -> bool:
@@ -541,8 +532,8 @@ def _break_hash_join(op: ops.HashJoinOp,
 
 def _break_as_stage(stage_cls):
     """Order-sensitive breakers (Distinct's seen set, Limit's early-exit
-    counter) ride the pipeline as serial stages: they end fusion for the
-    parallel engine but stream in place serially."""
+    counter) ride the pipeline as serial stages: they stream in place,
+    and the placement model counts them as serial work."""
     def handler(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
         p = _compile(op._child, pipelines)
         p.stages.append(stage_cls(op))
@@ -605,7 +596,7 @@ def _compile(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
     return p
 
 
-# -- serial drive loop --------------------------------------------------------
+# -- drive loop ---------------------------------------------------------------
 
 
 def run_program(program: PipelineProgram,
@@ -616,19 +607,37 @@ def run_program(program: PipelineProgram,
     yield from _drive(program.root, clock)
 
 
-def _drive(pipeline: Pipeline, clock: SimClock) -> Iterator[RowBlock]:
+def run_placed(program: PipelineProgram, clock: SimClock,
+               placement) -> list[RowBlock]:
+    """Drive a program to completion, telling ``placement`` where its
+    tasks run: ``placement.carriers(pipeline, clock)`` supplies every
+    pipeline's carriers (a scan one task per morsel) and
+    ``placement.output(carrier)`` hears each carrier leaving the
+    pipeline's parallel stages.  ``placement=None`` is the plain serial
+    drive."""
+    return list(_drive(program.root, clock, placement))
+
+
+def _drive(pipeline: Pipeline, clock: SimClock,
+           placement=None) -> Iterator[RowBlock]:
     """Program-output drive: every surviving carrier materialized."""
-    for carrier in _drive_carriers(pipeline, clock):
+    for carrier in _drive_carriers(pipeline, clock, placement):
         yield carrier.materialize()
 
 
-def _drive_carriers(pipeline: Pipeline,
-                    clock: SimClock) -> Iterator[BlockCarrier]:
+def _drive_carriers(pipeline: Pipeline, clock: SimClock,
+                    placement=None) -> Iterator[BlockCarrier]:
     """One fused pass per source block: the carrier runs the whole stage
     chain with its selection deferred wherever stages allow, and the
-    driver (single-threaded) attributes per-operator ``rows_out``.
-    Carriers are yielded with any remaining mask still deferred — sinks
-    that understand masks consume them as-is."""
+    driver attributes per-operator ``rows_out``.  Carriers are yielded
+    with any remaining mask still deferred — sinks that understand masks
+    consume them as-is.
+
+    With a tracer attached, the source pull runs under the source
+    operator's span (so a fused scan's charges — including its deferred-
+    mask predicate and the buffer pool's page charges — land on the scan)
+    and each stage application under its operator's span.  Charges and
+    row accounting are untouched."""
     source = pipeline.source
     if isinstance(source, SerialOpSource):
         # the operator's child pipelines are driven lazily through its
@@ -637,81 +646,80 @@ def _drive_carriers(pipeline: Pipeline,
         lazy = {child_pipeline for _, child_pipeline in source.children}
         for dep in pipeline.inputs:
             if dep not in lazy:
-                _run_to_sink(dep, clock)
-        carriers = source.lazy_carriers(clock)
+                _run_to_sink(dep, clock, placement)
+        carriers = source.carriers(clock)
     else:
         for dep in pipeline.inputs:
-            _run_to_sink(dep, clock)
-        carriers = source.carriers(clock)
+            _run_to_sink(dep, clock, placement)
+        carriers = (source.carriers(clock) if placement is None
+                    else placement.carriers(pipeline, clock))
     attribute_source = not source.attributes_rows
     tracer = clock.tracer
-    if tracer is not None:
-        yield from _drive_carriers_traced(pipeline, clock, tracer,
-                                          carriers, attribute_source)
-        return
-    for carrier in carriers:
-        if attribute_source:
-            source.op.rows_out += carrier.count
-        out: BlockCarrier | None = carrier
-        for stage in pipeline.stages:
-            out = stage.apply(out, clock)
-            if out is None:
-                break
-            stage.op.rows_out += out.count
-        if out is not None:
-            yield out
-        if pipeline.stopped:
-            break
-
-
-def _drive_carriers_traced(pipeline: Pipeline, clock: SimClock, tracer,
-                           carriers: Iterator[BlockCarrier],
-                           attribute_source: bool
-                           ) -> Iterator[BlockCarrier]:
-    """The same drive loop with per-operator span attribution: the source
-    pull runs under the source operator's span (so a fused scan's charges
-    — including its deferred-mask predicate and the buffer pool's page
-    charges — land on the scan) and each stage application runs under its
-    operator's span.  Charges and row accounting are untouched."""
-    source = pipeline.source
-    if attribute_source:
+    if tracer is not None and attribute_source:
         carriers = tracer.trace_iter(source.op, carriers)
-    stage_spans = [tracer.operator_span(stage.op)
-                   for stage in pipeline.stages]
+    split = pipeline.serial_from if placement is not None \
+        else len(pipeline.stages)
+    head = _StageChain(pipeline.stages[:split], tracer)
+    tail = _StageChain(pipeline.stages[split:], tracer)
     for carrier in carriers:
         if attribute_source:
             source.op.rows_out += carrier.count
-        out: BlockCarrier | None = carrier
-        for stage, span in zip(pipeline.stages, stage_spans):
-            tracer.push(span)
-            try:
-                out = stage.apply(out, clock)
-            finally:
-                tracer.pop()
-            if out is None:
-                break
-            stage.op.rows_out += out.count
+        out = head.apply(carrier, clock)
+        if out is not None and placement is not None:
+            placement.output(out)
+        if out is not None and tail.stages:
+            out = tail.apply(out, clock)
         if out is not None:
             yield out
         if pipeline.stopped:
             break
 
 
-def _run_to_sink(pipeline: Pipeline, clock: SimClock) -> None:
+class _StageChain:
+    """A run of fused stages applied to one carrier, each under its
+    operator's span when a tracer is attached."""
+
+    def __init__(self, stages: list[PipelineStage], tracer):
+        self.stages = stages
+        self.spans = (None if tracer is None else
+                      [tracer.operator_span(stage.op) for stage in stages])
+        self.tracer = tracer
+
+    def apply(self, carrier: BlockCarrier,
+              clock: SimClock) -> BlockCarrier | None:
+        out: BlockCarrier | None = carrier
+        for j, stage in enumerate(self.stages):
+            if self.spans is None:
+                out = stage.apply(out, clock)
+            else:
+                self.tracer.push(self.spans[j])
+                try:
+                    out = stage.apply(out, clock)
+                finally:
+                    self.tracer.pop()
+            if out is None:
+                return None
+            stage.op.rows_out += out.count
+        return out
+
+
+def _run_to_sink(pipeline: Pipeline, clock: SimClock,
+                 placement=None) -> None:
     sink = pipeline.sink
     tracer = clock.tracer
-    if tracer is None:
-        for carrier in _drive_carriers(pipeline, clock):
+    span = None if tracer is None else tracer.operator_span(sink.op)
+    for carrier in _drive_carriers(pipeline, clock, placement):
+        if span is None:
             sink.absorb_carrier(carrier, clock)
-        sink.finish(clock)
-        return
-    span = tracer.operator_span(sink.op)
-    for carrier in _drive_carriers(pipeline, clock):
+            continue
         tracer.push(span)
         try:
             sink.absorb_carrier(carrier, clock)
         finally:
             tracer.pop()
+    if span is None:
+        sink.finish(clock)
+        return
     tracer.push(span)
     try:
         sink.finish(clock)

@@ -173,8 +173,8 @@ def explain_analyze(plan, root_op, tracer: Tracer,
                 header.append("  " + _fmt_exchange(record))
     elif parallel_stats is not None:
         workers = parallel_stats.get("workers")
-        tasks = parallel_stats.get("tasks_dispatched", len(task_spans))
-        makespan = parallel_stats.get("makespan")
+        tasks = parallel_stats.get("tasks", len(task_spans))
+        makespan = parallel_stats.get("virtual_makespan")
         line = f"parallel: workers={workers} morsel_tasks={tasks}"
         if makespan is not None:
             line += f" makespan={_fmt_seconds(makespan)}"

@@ -23,7 +23,6 @@ Naming convention: dotted lowercase ``subsystem.metric`` names with
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -105,7 +104,6 @@ class MetricsRegistry:
     """Labeled counters/gauges/histograms, collectors, and an event log."""
 
     def __init__(self, max_events: int = MAX_EVENTS):
-        self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -116,27 +114,24 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels) -> Counter:
         key = series_key(name, labels)
-        with self._lock:
-            instrument = self._counters.get(key)
-            if instrument is None:
-                instrument = self._counters[key] = Counter(key)
+        instrument = self._counters.get(key)
+        if instrument is None:
+            instrument = self._counters[key] = Counter(key)
         return instrument
 
     def gauge(self, name: str, **labels) -> Gauge:
         key = series_key(name, labels)
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = self._gauges[key] = Gauge(key)
+        instrument = self._gauges.get(key)
+        if instrument is None:
+            instrument = self._gauges[key] = Gauge(key)
         return instrument
 
     def histogram(self, name: str, buckets: Optional[tuple] = None,
                   **labels) -> Histogram:
         key = series_key(name, labels)
-        with self._lock:
-            instrument = self._histograms.get(key)
-            if instrument is None:
-                instrument = self._histograms[key] = Histogram(key, buckets)
+        instrument = self._histograms.get(key)
+        if instrument is None:
+            instrument = self._histograms[key] = Histogram(key, buckets)
         return instrument
 
     def add_collector(self, collect: Callable[[], dict[str, float]]) -> None:
@@ -153,14 +148,12 @@ class MetricsRegistry:
         (``db.retry``, ``monitor.trigger_error``, ``serve.batch_retry``)
         and ``message`` its human rendering."""
         record = {"kind": kind, "message": message, "time": time, **fields}
-        with self._lock:
-            self._events.append(record)
+        self._events.append(record)
         return record
 
     def events(self, kind: Optional[str] = None,
                prefix: Optional[str] = None) -> list[dict]:
-        with self._lock:
-            records = list(self._events)
+        records = list(self._events)
         if kind is not None:
             records = [e for e in records if e["kind"] == kind]
         if prefix is not None:
@@ -181,14 +174,12 @@ class MetricsRegistry:
         """One point-in-time view of every series: counters, gauges
         (instrument plus collector-contributed), histogram summaries,
         and the structured-event tail."""
-        with self._lock:
-            counters = {key: c.value for key, c in self._counters.items()}
-            gauges = {key: g.value for key, g in self._gauges.items()}
-            histograms = {key: h.snapshot()
-                          for key, h in self._histograms.items()}
-            events = list(self._events)
-            collectors = list(self._collectors)
-        for collect in collectors:
+        counters = {key: c.value for key, c in self._counters.items()}
+        gauges = {key: g.value for key, g in self._gauges.items()}
+        histograms = {key: h.snapshot()
+                      for key, h in self._histograms.items()}
+        events = list(self._events)
+        for collect in self._collectors:
             for key, value in collect().items():
                 gauges[key] = value
         return {"counters": counters, "gauges": gauges,

@@ -11,26 +11,23 @@ Attribution and reconciliation use two parallel accounting schemes:
 * **Exact fixed-point sums** (:func:`to_fix` / :func:`from_fix`).  Every
   float charge is a dyadic rational, so accumulating
   ``numerator << (SHIFT - exponent)`` integers is *exact and associative*:
-  per-span sums regroup freely (across operators, threads, and engines)
-  yet still add up to the trace total with integer ``==``.  This is what
-  lets ``EXPLAIN ANALYZE`` promise that per-operator charged times sum
-  exactly to the statement total per category, on every engine including
-  the morsel-parallel one.
-* **A chronological float mirror** (:meth:`Tracer.on_fold`).  Seeded from
-  the clock's state at attach time and advanced by the *same* ``+=``
+  per-span sums regroup freely (across operators and engines) yet still
+  add up to the trace total with integer ``==``.  This is what lets
+  ``EXPLAIN ANALYZE`` promise that per-operator charged times sum exactly
+  to the statement total per category, on every engine.
+* **A chronological float mirror** (:meth:`Tracer.on_charge`).  Seeded
+  from the clock's state at attach time and advanced by the *same* ``+=``
   sequence the shared clock performs, the mirror stays bit-identical to
   ``clock.breakdown()`` / ``clock.now`` at all times — the span-total ↔
   SimClock reconciliation the property tests assert with plain ``==``.
 
-Span *attribution* is a thread-local stack: the innermost pushed span owns
-every charge made on its thread, which is how one interleaved generator
-pull (row engine), one fused block pass, or one morsel task on a worker
-thread all attribute to the right operator.
+Span *attribution* is a stack: the innermost pushed span owns every
+charge, which is how one interleaved generator pull (row engine) or one
+fused block pass attributes to the right operator.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
@@ -118,15 +115,10 @@ class Tracer:
     directly, or hand the tracer to :mod:`repro.obs.export` /
     :mod:`repro.obs.explain` for rendering.
 
-    Thread safety: worker threads attribute concurrently under one lock;
-    per-span exact sums and counts are order-independent, so traces are
-    deterministic even when morsel tasks interleave.  The float mirror
-    only moves on shared-clock charges (main thread, program order).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._tls = threading.local()
+        self._stack: list[Span] = []
         self._next_span_id = 1
         self.spans: list[Span] = []
         self.events: list[dict] = []
@@ -146,35 +138,21 @@ class Tracer:
         self._float_by_category.update(clock.breakdown())
         self._float_now = clock.now
         clock.tracer = self
-        clock._tracer_folds = True
 
     @staticmethod
     def detach(clock) -> None:
         clock.tracer = None
 
-    def on_charge(self, category: str, seconds: float, count: int,
-                  fold: bool) -> None:
-        """Clock callback: one charge of ``seconds`` (``count`` items).
-        ``fold`` is True for shared-clock charges (mirror advances) and
-        False for shard-clock charges (attribution only — the shared
-        clock folds them later via ``absorb``)."""
-        span = self._current()
+    def on_charge(self, category: str, seconds: float, count: int) -> None:
+        """Clock callback: one charge of ``seconds`` (``count`` items)."""
         fix = to_fix(seconds)
-        with self._lock:
-            self._fix_total[category] += fix
-            self._count_total[category] += count
-            if fold:
-                self._float_by_category[category] += seconds
-                self._float_now += seconds
-            if span is not None:
-                span.add(category, fix, count)
-
-    def on_fold(self, category: str, seconds: float) -> None:
-        """Clock callback for :meth:`SimClock.absorb`: advance the float
-        mirror only (the charge was already attributed at its site)."""
-        with self._lock:
-            self._float_by_category[category] += seconds
-            self._float_now += seconds
+        self._fix_total[category] += fix
+        self._count_total[category] += count
+        self._float_by_category[category] += seconds
+        self._float_now += seconds
+        span = self._current()
+        if span is not None:
+            span.add(category, fix, count)
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -185,31 +163,21 @@ class Tracer:
         (e.g. worker tasks parented under the query span)."""
         if parent is None:
             parent = self._current()
-        with self._lock:
-            span = Span(self._next_span_id, name, kind,
-                        parent.span_id if parent is not None else None,
-                        attrs)
-            self._next_span_id += 1
-            self.spans.append(span)
+        span = Span(self._next_span_id, name, kind,
+                    parent.span_id if parent is not None else None, attrs)
+        self._next_span_id += 1
+        self.spans.append(span)
         return span
 
     def push(self, span: Span) -> None:
-        """Make ``span`` the calling thread's attribution target."""
-        self._stack().append(span)
+        """Make ``span`` the attribution target."""
+        self._stack.append(span)
 
     def pop(self) -> Span:
-        return self._stack().pop()
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
+        return self._stack.pop()
 
     def _current(self) -> Optional[Span]:
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
+        return self._stack[-1] if self._stack else None
 
     @contextmanager
     def span(self, name: str, kind: str, clock=None, **attrs):
@@ -233,13 +201,12 @@ class Tracer:
         attribution comparable across engines."""
         node = getattr(op, "plan_node", None)
         node_id = node.node_id if node is not None else id(op)
-        with self._lock:
-            span = self._node_spans.get(node_id)
-            if span is None:
-                label = node.label if node is not None else type(op).__name__
-                span = self.begin(label, "operator", parent=None,
-                                  node_id=node_id, op=op)
-                self._node_spans[node_id] = span
+        span = self._node_spans.get(node_id)
+        if span is None:
+            label = node.label if node is not None else type(op).__name__
+            span = self.begin(label, "operator", parent=None,
+                              node_id=node_id, op=op)
+            self._node_spans[node_id] = span
         return span
 
     def node_span(self, node_id: int) -> Optional[Span]:
@@ -276,36 +243,31 @@ class Tracer:
     def event(self, name: str, time: Optional[float] = None,
               **attrs) -> dict:
         """Record an instantaneous span event (fault retry, failover,
-        resync, drift...) against the calling thread's current span."""
+        resync, drift...) against the current span."""
         span = self._current()
-        with self._lock:
-            record = {"name": name, "time": time,
-                      "span_id": span.span_id if span is not None else None,
-                      **attrs}
-            self.events.append(record)
+        record = {"name": name, "time": time,
+                  "span_id": span.span_id if span is not None else None,
+                  **attrs}
+        self.events.append(record)
         return record
 
     # -- reconciled totals ---------------------------------------------------
 
     def category_totals(self) -> dict[str, float]:
         """Per-category charged totals derived from the exact sums."""
-        with self._lock:
-            return {category: from_fix(value)
-                    for category, value in self._fix_total.items()}
+        return {category: from_fix(value)
+                for category, value in self._fix_total.items()}
 
     def fix_totals(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._fix_total)
+        return dict(self._fix_total)
 
     def counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._count_total)
+        return dict(self._count_total)
 
     def float_totals(self) -> dict[str, float]:
         """The chronological float mirror — bit-identical to the shared
         clock's ``breakdown()`` for every category it has touched."""
-        with self._lock:
-            return dict(self._float_by_category)
+        return dict(self._float_by_category)
 
     @property
     def float_now(self) -> float:

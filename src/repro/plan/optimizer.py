@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import PlanError
+from repro.common.errors import BindError, PlanError
 from repro.plan import logical as plan
 from repro.plan.cardinality import CardinalityEstimator, is_equi_join_condition
 from repro.plan.cost import PlanCoster
@@ -349,21 +349,85 @@ class Planner:
 
         has_aggregates = any(ast.is_aggregate(item.expr)
                              for item in select.items)
+        keys, items, shown = self._order_keys(bound)
         if select.group_by or has_aggregates:
             tree = plan.Aggregate(child=tree, group_by=select.group_by,
-                                  items=select.items)
+                                  items=items)
         else:
-            tree = plan.Project(child=tree, items=select.items)
+            tree = plan.Project(child=tree, items=items)
 
         if select.distinct:
             tree = plan.Distinct(child=tree)
-        if select.order_by:
-            tree = plan.Sort(child=tree, keys=select.order_by)
+        if keys:
+            tree = plan.Sort(child=tree, keys=keys)
+        if shown:
+            tree = plan.Project(child=tree, items=shown)
         if select.limit is not None or select.offset is not None:
             tree = plan.Limit(child=tree, limit=select.limit,
                               offset=select.offset or 0)
         coster.annotate(tree)
         return tree
+
+    def _order_keys(self, bound: BoundQuery):
+        """``(sort keys, select items, items shown)`` for the query's
+        ORDER BY.  A key the select list's output can evaluate sorts that
+        output; any other key — a column not selected, an aggregate —
+        becomes a hidden select item the sort reads and a Project above
+        the sort drops (``items shown``, empty when nothing is hidden).
+        Visible items whose names collide are renamed below that Project
+        and named back by it."""
+        select = bound.select
+        items = tuple(select.items)
+        slots: list[tuple[str, str]] = []
+        for i, item in enumerate(items):
+            slots += self._item_slots(bound, item, i)
+        names = [name for _, name in slots]
+
+        def visible(ref: ast.ColumnRef) -> bool:
+            name = ref.name.lower()
+            if ref.table is not None:
+                return (ref.table.lower(), name) in slots
+            return names.count(name) == 1
+
+        keys: list[ast.OrderItem] = []
+        hidden: list[ast.SelectItem] = []
+        for key in select.order_by:
+            if not ast.is_aggregate(key.expr) and all(
+                    visible(ref) for ref in ast.referenced_columns(key.expr)):
+                keys.append(key)
+                continue
+            if select.distinct:
+                raise BindError(f"ORDER BY {key.expr.display()} must appear "
+                                f"in the select list of a SELECT DISTINCT")
+            name = f"__order{len(hidden)}"
+            hidden.append(ast.SelectItem(key.expr, alias=name))
+            keys.append(ast.OrderItem(ast.ColumnRef(name), key.descending))
+        if not hidden:
+            return tuple(keys), items, ()
+        lower: list[ast.SelectItem] = []
+        shown: list[ast.SelectItem] = []
+        for i, item in enumerate(items):
+            if isinstance(item.expr, ast.Star):
+                lower.append(item)
+                shown += [ast.SelectItem(ast.ColumnRef(name, table=binding))
+                          for binding, name in self._item_slots(bound, item, i)]
+                continue
+            name = ast.output_name(item, i)
+            alias = name if names.count(name.lower()) == 1 else f"__out{i}"
+            lower.append(ast.SelectItem(item.expr, alias=alias))
+            shown.append(ast.SelectItem(ast.ColumnRef(alias), alias=name))
+        return tuple(keys), tuple(lower + hidden), tuple(shown)
+
+    def _item_slots(self, bound: BoundQuery, item: ast.SelectItem,
+                    position: int) -> list[tuple[str, str]]:
+        """The ``(binding, name)`` output slots of one select item."""
+        if not isinstance(item.expr, ast.Star):
+            return [("", ast.output_name(item, position).lower())]
+        bindings = (bound.table_order if item.expr.table is None
+                    else [item.expr.table.lower()])
+        return [(binding, column.name.lower()) for binding in bindings
+                for column in self._catalog.table(
+                    bound.bindings[binding]).schema.columns]
 
     def _plan_tableless(self, select: ast.Select) -> plan.PlanNode:
         """SELECT without FROM, e.g. ``SELECT 1 + 1``."""

@@ -222,6 +222,15 @@ class SelectItem:
     alias: Optional[str] = None
 
 
+def output_name(item: SelectItem, position: int) -> str:
+    """The result column name of the ``position``-th select item."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, (ColumnRef, FuncCall)):
+        return item.expr.name
+    return f"col{position}"
+
+
 @dataclass(frozen=True)
 class OrderItem:
     expr: Expr

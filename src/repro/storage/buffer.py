@@ -40,15 +40,9 @@ class BufferPool:
         self._view_rebuilds = 0
         self._table_view_rebuilds: dict[str, int] = {}
 
-    def access(self, table: str, page_no: int,
-               clock: SimClock | None = None) -> bool:
-        """Record an access; returns True on hit.  Charges the clock.
-
-        ``clock`` redirects the charge to a caller-supplied clock (the
-        distributed scheduler's per-shard page clocks) without changing
-        the hit/miss bookkeeping; the default remains the pool's own.
-        """
-        charge_clock = clock if clock is not None else self.clock
+    def access(self, table: str, page_no: int) -> bool:
+        """Record an access; returns True on hit.  Charges the clock."""
+        charge_clock = self.clock
         key = (table, page_no)
         if key in self._lru:
             self._lru.move_to_end(key)

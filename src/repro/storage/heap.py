@@ -136,8 +136,7 @@ class HeapTable:
             yield buffer
 
     def scan_column_batches(self, batch_size: int = 1024,
-                            start_page: int = 0,
-                            clock: SimClock | None = None
+                            start_page: int = 0
                             ) -> Iterator[tuple[list, int]]:
         """Full scan yielding ``(columns, row_count)`` column batches.
 
@@ -165,10 +164,6 @@ class HeapTable:
         accounting is unchanged: each page is charged exactly when the
         first batch needing its rows is produced, so early-exiting
         consumers still only pay for the pages they covered.
-
-        ``clock`` redirects the per-page buffer charges to a
-        caller-supplied clock (the distributed scheduler's per-shard page
-        clocks) without changing hit/miss accounting.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -180,23 +175,20 @@ class HeapTable:
         while off < total:
             end = min(off + batch_size, total)
             while touched < len(pages) and starts[touched] < end:
-                self._note_scan_page(pages[touched], view_hits, touched,
-                                     clock)
+                self._note_scan_page(pages[touched], view_hits, touched)
                 touched += 1
             yield [c[off:end] for c in columns], end - off
             off = end
         # pages past the last live row (trailing empties) are still part
         # of a fully drained scan, exactly as scan() touches them
         while touched < len(pages):
-            self._note_scan_page(pages[touched], view_hits, touched, clock)
+            self._note_scan_page(pages[touched], view_hits, touched)
             touched += 1
 
     def scan_morsels(self, morsel_rows: int = 4096,
-                     start_page: int = 0,
-                     clock: SimClock | None = None
-                     ) -> list[tuple[list, int]]:
+                     start_page: int = 0) -> list[tuple[list, int]]:
         """Materialize the full scan as a random-access list of column
-        morsels — the parallel engine's scan splitter.
+        morsels — the placement model's scan splitter.
 
         Each morsel is a ``(columns, row_count)`` column batch exactly as
         :meth:`scan_column_batches` would yield it with
@@ -204,16 +196,15 @@ class HeapTable:
         morsels reproduces :meth:`scan`'s page/slot order), every page
         charged to the buffer pool exactly once, morsels of exactly
         ``morsel_rows`` rows except a short final one.  Unlike the
-        streaming batch scan, the whole list is built up front so a
-        scheduler can hand morsels to workers in any dispatch order and
-        reassemble results by morsel index.  The column arrays are shared
-        read-only snapshots of the columnar page cache: workers must only
-        mask/slice them, never write.  Mutating the table after splitting
-        is undefined, as with :meth:`scan`.  ``start_page`` as in
-        :meth:`scan_column_batches`.
+        streaming batch scan, the whole list is built up front, so every
+        page charge lands before the first morsel is processed (the
+        placement model files them as the node's page I/O).  The column
+        arrays are read-only snapshots of the columnar page cache: callers
+        must only mask/slice them, never write.  Mutating the table after
+        splitting is undefined, as with :meth:`scan`.  ``start_page`` as
+        in :meth:`scan_column_batches`.
         """
-        return list(self.scan_column_batches(morsel_rows, start_page,
-                                             clock=clock))
+        return list(self.scan_column_batches(morsel_rows, start_page))
 
     def tail_start_page(self, min_rows: int) -> int:
         """Index of the first page such that the pages from it onward
@@ -272,9 +263,8 @@ class HeapTable:
         return payload, view_hits
 
     def _note_scan_page(self, page: HeapPage,
-                        view_hits: list[bool] | None, idx: int,
-                        clock: SimClock | None = None) -> None:
-        self._touch_page(page.page_no, clock)
+                        view_hits: list[bool] | None, idx: int) -> None:
+        self._touch_page(page.page_no)
         if self._buffer_pool is not None:
             self._buffer_pool.note_view(
                 self.name, True if view_hits is None else view_hits[idx])
@@ -330,10 +320,9 @@ class HeapTable:
         self._pages.append(page)
         return page
 
-    def _touch_page(self, page_no: int,
-                    clock: SimClock | None = None) -> None:
+    def _touch_page(self, page_no: int) -> None:
         if self._buffer_pool is not None:
-            self._buffer_pool.access(self.name, page_no, clock=clock)
+            self._buffer_pool.access(self.name, page_no)
 
     def _charge(self, seconds: float, category: str) -> None:
         if self._clock is not None:

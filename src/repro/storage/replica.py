@@ -36,14 +36,13 @@ Replication protocol
   node again.
 * **Both copies down** — accesses raise
   :class:`~repro.common.errors.ReplicaUnavailable` (retryable: the
-  scheduler's morsel retries and the Db-level ``retry_policy`` both
-  re-attempt, by which time the outage may have elapsed).
+  Db-level ``retry_policy`` re-attempts, by which time the outage may
+  have elapsed).
 
 Determinism contract: outage decisions are made on the table-operation
-counter (``opno``), which advances only on main-thread table entry points
-(never inside worker threads — morsel workers only touch pre-split
-read-only column snapshots), so a seeded fault plan takes the same node
-down at the same operation on every run.
+counter (``opno``), which advances only on table entry points, so a
+seeded fault plan takes the same node down at the same operation on
+every run.
 
 Cost model: replicating a write charges the backup's usual heap charges
 plus a per-byte ship cost (serialize + network, category ``replicate``);
@@ -151,25 +150,20 @@ class ReplicatedTable:
         return self._begin_op().read(rid)
 
     def scan(self) -> Iterator[tuple[RecordId, tuple]]:
-        # resolve the serving node NOW (main thread), not when the
-        # generator is first advanced
+        # resolve the serving node NOW, not when the generator is first
+        # advanced
         return self._begin_op().scan()
 
     def scan_batches(self, batch_size: int = 1024):
         return self._begin_op().scan_batches(batch_size)
 
     def scan_column_batches(self, batch_size: int = 1024,
-                            start_page: int = 0,
-                            clock: SimClock | None = None):
-        return self._begin_op().scan_column_batches(batch_size, start_page,
-                                                    clock=clock)
+                            start_page: int = 0):
+        return self._begin_op().scan_column_batches(batch_size, start_page)
 
     def scan_morsels(self, morsel_rows: int = 4096,
-                     start_page: int = 0,
-                     clock: SimClock | None = None
-                     ) -> list[tuple[list, int]]:
-        return self._begin_op().scan_morsels(morsel_rows, start_page,
-                                             clock=clock)
+                     start_page: int = 0) -> list[tuple[list, int]]:
+        return self._begin_op().scan_morsels(morsel_rows, start_page)
 
     def tail_start_page(self, min_rows: int) -> int:
         return self._begin_op().tail_start_page(min_rows)

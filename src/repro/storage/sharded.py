@@ -49,10 +49,8 @@ scan-then-mutate paths never rely on update preserving ids).
 
 Cost model: inner tables charge their usual heap/replication costs to
 the shared clock; routing itself is free (pure hashing, like the fault
-plan's decisions).  Page touches during scans can be redirected to
-per-shard clocks via the ``clock=`` override threaded through
-``scan_column_batches`` — the distributed scheduler's node-local I/O
-accounting.
+plan's decisions).  The distributed engine scans each shard through
+``shard_tables`` to attribute its page charges to the shard's node.
 """
 
 from __future__ import annotations
@@ -241,8 +239,7 @@ class ShardedTable:
             yield from table.scan_batches(batch_size)
 
     def scan_column_batches(self, batch_size: int = 1024,
-                            start_page: int = 0,
-                            clock: SimClock | None = None
+                            start_page: int = 0
                             ) -> Iterator[tuple[list, int]]:
         """Column batches in shard-major order.
 
@@ -259,28 +256,11 @@ class ShardedTable:
             if local_start >= pages:
                 continue
             yield from table.scan_column_batches(batch_size,
-                                                 max(0, local_start),
-                                                 clock=clock)
+                                                 max(0, local_start))
 
     def scan_morsels(self, morsel_rows: int = 4096,
-                     start_page: int = 0,
-                     clock: SimClock | None = None
-                     ) -> list[tuple[list, int]]:
-        return list(self.scan_column_batches(morsel_rows, start_page,
-                                             clock=clock))
-
-    def shard_morsels(self, morsel_rows: int = 4096,
-                      clock_for: "list[SimClock] | None" = None
-                      ) -> list[list[tuple[list, int]]]:
-        """Per-shard morsel lists in canonical order — the distributed
-        scheduler's scan splitter.  Concatenating the sublists reproduces
-        :meth:`scan_morsels`.  ``clock_for`` optionally supplies one
-        charge clock per shard for node-local page-I/O attribution."""
-        out = []
-        for shard, table in enumerate(self.shard_tables):
-            clock = clock_for[shard] if clock_for is not None else None
-            out.append(table.scan_morsels(morsel_rows, 0, clock=clock))
-        return out
+                     start_page: int = 0) -> list[tuple[list, int]]:
+        return list(self.scan_column_batches(morsel_rows, start_page))
 
     def tail_start_page(self, min_rows: int) -> int:
         if min_rows < 0:

@@ -26,7 +26,7 @@ from repro.common import categories as cat
 from repro.common.faults import FaultPlan
 from repro.common.simtime import CostModel, NetworkModel, SimClock
 from repro.exec.distributed import (DistributedScheduler, block_bytes,
-                                    payload_bytes, payload_units)
+                                    state_bytes)
 from repro.exec.executor import Executor
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import parse
@@ -153,11 +153,32 @@ class TestPayloadSizing:
         empty = RowBlock.from_rows(layout, [])
         assert block_bytes(empty) == 0
 
-    def test_payload_units_nested(self):
-        assert payload_units(7) == 1
-        assert payload_units([1, 2, 3]) == 3
-        assert payload_units({"k": (1, 2)}) == 3  # key + two values
-        assert payload_bytes([1, 2]) == 16
+    def test_state_bytes_per_group(self):
+        """One aggregate state: 8 bytes per group key plus a count and a
+        running field per aggregate call."""
+        db = _build_db(1)
+        plan = db.planner.plan_select(parse(
+            "SELECT city, count(*), sum(age) FROM users GROUP BY city"))
+        op = Executor(db.catalog, db.clock).build(plan)
+        while not hasattr(op, "_agg_calls"):
+            op = op._child
+        assert state_bytes(op) == 8 * 1 + 16 * 2
+
+    def test_wide_group_by_ships_one_state_per_node_and_group(self):
+        """The shuffle is sized from execution: each node ships one state
+        per group its tasks touched and does not own."""
+        db = _build_db(4)
+        plan = db.planner.plan_select(parse(
+            "SELECT uid, count(*), sum(amount) FROM orders GROUP BY uid"))
+        stats = Executor(db.catalog, db.clock, engine="distributed",
+                         nodes=2, morsel_rows=16).run(plan).extra[
+                             "distributed"]
+        shuffle = [e for e in stats["exchanges"]
+                   if e["kind"] == cat.SHUFFLE]
+        assert len(shuffle) == 1
+        # 60 groups, each touched by both nodes, half owned by the other
+        assert shuffle[0]["rows"] == 60
+        assert shuffle[0]["bytes"] == 60 * (8 + 16 * 2)
 
 
 class TestDistributedParity:

@@ -31,7 +31,7 @@ from repro.common.errors import (
 from repro.common.faults import KINDS, NO_FAULTS, FaultPlan, FaultSpec
 from repro.common.simtime import BudgetExceeded, SimClock
 from repro.exec.executor import Executor
-from repro.exec.parallel import MorselScheduler
+from repro.exec.distributed import DistributedScheduler
 from repro.serve import PredictServer
 from repro.sql import parse
 from repro.storage import (
@@ -221,8 +221,8 @@ class TestFaultSweepParity:
 class TestSchedulerRecovery:
     def test_scheduled_crash_is_recovered(self):
         plan = FaultPlan(seed=0).arm("worker_crash", times=(2,))
-        sched = MorselScheduler(SimClock(), workers=3, faults=plan)
-        out = sched.map(list(range(8)), lambda item, shard: item * 10)
+        sched = DistributedScheduler(SimClock(), nodes=1, workers=3, faults=plan)
+        out = sched.map(list(range(8)), lambda item, clock: item * 10)
         assert out == [i * 10 for i in range(8)]
         assert sched.crashes_recovered == 1
         assert sched.finish()["crashes_recovered"] == 1
@@ -231,32 +231,32 @@ class TestSchedulerRecovery:
         plan = FaultPlan(seed=0).arm("slow_worker", times=(1,),
                                      latency=0.5)
         clock = SimClock()
-        sched = MorselScheduler(clock, workers=2, faults=plan)
-        sched.map([0, 1, 2], lambda item, shard: item)
+        sched = DistributedScheduler(clock, nodes=1, workers=2, faults=plan)
+        sched.map([0, 1, 2], lambda item, clock: item)
         sched.finish()
         assert clock.breakdown().get("fault-slow") == pytest.approx(0.5)
 
     def test_retry_budget_exhaustion_raises_transient(self):
         plan = FaultPlan(seed=0).arm("task_error", rate=1.0)
-        sched = MorselScheduler(SimClock(), workers=2, faults=plan,
+        sched = DistributedScheduler(SimClock(), nodes=1, workers=2, faults=plan,
                                 retry_limit=3)
         with pytest.raises(TransientError):
-            sched.map([0, 1], lambda item, shard: item)
+            sched.map([0, 1], lambda item, clock: item)
         # the budget was spent before giving up
         assert sched.task_retries == 3
 
     def test_zero_retry_limit_escalates_immediately(self):
         plan = FaultPlan(seed=0).arm("task_error", times=(0,))
-        sched = MorselScheduler(SimClock(), workers=2, faults=plan,
+        sched = DistributedScheduler(SimClock(), nodes=1, workers=2, faults=plan,
                                 retry_limit=0)
         with pytest.raises(TransientError):
-            sched.map([0, 1], lambda item, shard: item)
+            sched.map([0, 1], lambda item, clock: item)
         assert sched.task_retries == 0
 
     def test_non_retryable_errors_are_not_retried(self):
-        sched = MorselScheduler(SimClock(), workers=2, retry_limit=5)
+        sched = DistributedScheduler(SimClock(), nodes=1, workers=2, retry_limit=5)
 
-        def boom(item, shard):
+        def boom(item, clock):
             raise ExecutionError("real bug, not chaos")
 
         with pytest.raises(ExecutionError):
@@ -264,12 +264,11 @@ class TestSchedulerRecovery:
         assert sched.task_retries == 0
 
     def test_keyboard_interrupt_propagates_immediately(self):
-        """The worker loop must re-raise KeyboardInterrupt/SystemExit as
-        themselves — never swallowed into task-failure handling, never
-        retried."""
-        sched = MorselScheduler(SimClock(), workers=2, retry_limit=5)
+        """KeyboardInterrupt/SystemExit escape as themselves — never
+        swallowed into task-failure handling, never retried."""
+        sched = DistributedScheduler(SimClock(), nodes=1, workers=2, retry_limit=5)
 
-        def interrupted(item, shard):
+        def interrupted(item, clock):
             raise KeyboardInterrupt()
 
         with pytest.raises(KeyboardInterrupt):
@@ -278,7 +277,7 @@ class TestSchedulerRecovery:
 
     def test_budget_exhaustion_not_swallowed_by_fault_retries(self):
         """BudgetExceeded is not retryable: a fault-armed run under a
-        too-small budget must still stop at the phase boundary."""
+        too-small budget must still stop at the charge that crosses it."""
         db = _chaos_db(rows=2000)
         sql = "SELECT id, v FROM t ORDER BY v DESC"
         plan_node = db.planner.plan_select(parse(sql))
@@ -297,7 +296,7 @@ class TestSchedulerRecovery:
 
     def test_retry_limit_validation(self):
         with pytest.raises(ValueError):
-            MorselScheduler(SimClock(), workers=2, retry_limit=-1)
+            DistributedScheduler(SimClock(), nodes=1, workers=2, retry_limit=-1)
 
 
 # -- replicated storage -------------------------------------------------------

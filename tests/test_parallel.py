@@ -1,21 +1,27 @@
-"""Morsel scheduler edge cases and guarantees.
+"""The parallel engine and the placement model under it.
 
 The three-way result parity lives in test_batch_parity.py; this file
-exercises the scheduler itself: degenerate morsel shapes (empty tables,
-1-row morsels, more workers than morsels), merge of empty partial sets,
-determinism across worker counts, the virtual-time invariants
-(total == serial total, makespan <= total), and the storage-level morsel
-splitting contract.
+exercises the engine itself: degenerate morsel shapes (empty tables,
+1-row morsels, more workers than morsels), determinism across worker
+counts, the virtual-time invariants (total == serial total, makespan <=
+total), the placement of recorded charges (list scheduling, the sort
+run/remainder split, crash replay, slow nodes, LIMIT on the lane), and
+the storage-level morsel splitting contract.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro
-from repro.common.simtime import SimClock, WorkerClocks
+from repro.common import categories as cat
+from repro.common.faults import FaultPlan
+from repro.common.simtime import CostModel, SimClock
+from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
-from repro.exec.parallel import MorselScheduler
+from repro.exec.operators import SortOp
 from repro.sql import parse
 
 
@@ -162,54 +168,117 @@ def test_more_workers_never_slower():
 
 
 def test_limit_plans_run_on_serial_lane():
-    """LIMIT anywhere => whole-tree serial fallback: no parallel phases,
-    and charges exactly match the batch engine's early termination."""
+    """LIMIT anywhere => the plan is pure lane time: no parallel phases,
+    makespan == charged, and charges exactly match the batch engine's
+    early termination."""
     db = _fresh_db(rows=300)
     sql = "SELECT id FROM t WHERE v > 1 LIMIT 3"
     batch = _run(db, sql, engine="batch")
     parallel = _run(db, sql, engine="parallel", workers=4, morsel_rows=8)
     assert parallel.rows == batch.rows
-    assert parallel.extra["parallel"]["parallel_phases"] == 0
+    stats = parallel.extra["parallel"]
+    assert stats["parallel_phases"] == 0
+    assert stats["tasks"] == 0
+    assert stats["virtual_makespan"] == stats["virtual_charged"]
+    assert stats["lane_seconds"] == stats["virtual_charged"]
     assert parallel.virtual_seconds == pytest.approx(
         batch.virtual_seconds, rel=1e-9, abs=1e-12)
 
 
-# -- WorkerClocks ------------------------------------------------------------
+# -- placement of recorded charges ------------------------------------------
 
-def test_worker_clocks_list_scheduling():
-    """Six equal 1s tasks on 2 virtual workers => 3s makespan, 6s total."""
-    clocks = WorkerClocks()
-    shards = []
-    for _ in range(6):
-        shard = SimClock()
-        shard.advance(1.0, "work")
-        shards.append(shard)
-    clocks.close_phase(shards, workers=2)
-    assert clocks.total() == pytest.approx(6.0)
-    assert clocks.makespan() == pytest.approx(3.0)
-    target = SimClock()
-    clocks.merge_into(target)
-    assert target.now == pytest.approx(6.0)
-    assert target.category_total("work") == pytest.approx(6.0)
+def _charging(costs):
+    """A map task that charges ``costs[item]`` virtual seconds."""
+    def task(item, clock):
+        clock.advance(costs[item], cat.SCAN)
+        return item
+    return task
 
 
-def test_worker_clocks_serial_lane_counts_fully():
-    clocks = WorkerClocks()
-    clocks.serial_lane.advance(2.0, "sort")
-    shard = SimClock()
-    shard.advance(4.0, "scan")
-    clocks.close_phase([shard], workers=4)
-    assert clocks.total() == pytest.approx(6.0)
-    # one task cannot be split across workers: 4s phase + 2s lane
-    assert clocks.makespan() == pytest.approx(6.0)
+def test_list_schedule_makespan_of_recorded_costs():
+    """Recorded task costs are list-scheduled in task order onto the
+    workers: six 1s tasks on 2 workers => 3s makespan, 6s charged; a
+    3/1/1/1 cost vector packs onto two lanes of 3s each."""
+    clock = SimClock()
+    sched = DistributedScheduler(clock, nodes=1, workers=2)
+    assert sched.map(list(range(6)), _charging([1.0] * 6)) == list(range(6))
+    stats = sched.finish()
+    assert stats["virtual_charged"] == pytest.approx(6.0)
+    assert stats["virtual_makespan"] == pytest.approx(3.0)
+    assert clock.now == pytest.approx(6.0)
+    assert clock.category_total(cat.SCAN) == pytest.approx(6.0)
+
+    sched = DistributedScheduler(SimClock(), nodes=1, workers=2)
+    sched.map(list(range(4)), _charging([3.0, 1.0, 1.0, 1.0]))
+    assert sched.finish()["virtual_makespan"] == pytest.approx(3.0)
 
 
-def test_worker_clocks_empty_phase_is_noop():
-    clocks = WorkerClocks()
-    clocks.close_phase([], workers=4)
-    assert clocks.phases == 0
-    assert clocks.total() == 0.0
-    assert clocks.makespan() == 0.0
+def test_sort_runs_and_lane_remainder():
+    """A sort's single n*log2(n) charge — batch's charge, unchanged — is
+    placed as one run of n_i*log2(n_i) per task plus the merge
+    remainder n*log2(n) - sum(n_i*log2(n_i)) on the lane."""
+    db = _fresh_db(rows=100)
+    sql = "SELECT id, v FROM t ORDER BY v DESC"
+    plan = db.planner.plan_select(parse(sql))
+    before = db.clock.category_total(cat.SORT)
+    Executor(db.catalog, db.clock, engine="batch").run(plan)
+    batch_sort = db.clock.category_total(cat.SORT) - before
+    before = db.clock.category_total(cat.SORT)
+    result = Executor(db.catalog, db.clock, engine="parallel", workers=4,
+                      morsel_rows=16).run(plan)
+    assert db.clock.category_total(cat.SORT) - before == batch_sort
+    sizes = [16] * 6 + [4]
+    remainder = SortOp._sort_cost(100) - sum(SortOp._sort_cost(n)
+                                             for n in sizes)
+    assert remainder > 0
+    assert result.extra["parallel"]["lane_seconds"] == pytest.approx(
+        remainder, rel=1e-12)
+    assert batch_sort == pytest.approx(
+        100 * math.log2(100) * CostModel.SORT_ROW_LOG, rel=1e-12)
+
+
+def test_crash_replay_charges_attempt_twice_and_drops_a_lane():
+    """A crashed attempt's charges stay; the retry charges the task's
+    recorded charges again, and the crashed lane leaves the phase."""
+    costs = [1.0] * 4
+    clean = DistributedScheduler(SimClock(), nodes=1, workers=2)
+    clean.map(list(range(4)), _charging(costs))
+    clean_stats = clean.finish()
+
+    clock = SimClock()
+    plan = FaultPlan(seed=0).arm("worker_crash", times=(0,))
+    sched = DistributedScheduler(clock, nodes=1, workers=2, faults=plan)
+    assert sched.map(list(range(4)), _charging(costs)) == list(range(4))
+    stats = sched.finish()
+    assert stats["crashes_recovered"] == 1
+    assert clock.category_total(cat.SCAN) == pytest.approx(5.0)
+    assert stats["virtual_charged"] == pytest.approx(5.0)
+    assert clean_stats["virtual_makespan"] == pytest.approx(2.0)
+    # 5 attempts of 1s on the one surviving lane
+    assert stats["virtual_makespan"] == pytest.approx(5.0)
+
+
+def test_slow_node_inflates_only_its_node():
+    db = repro.connect(shards=2)
+    db.execute("CREATE TABLE s (id INT, v FLOAT)")
+    for i in range(64):
+        db.catalog.table("s").insert((i, float(i)))
+    plan = db.planner.plan_select(parse("SELECT count(*), sum(v) FROM s"))
+    run = lambda faults=None: Executor(
+        db.catalog, db.clock, engine="distributed", nodes=2, workers=2,
+        morsel_rows=8, faults=faults).run(plan).extra["distributed"]
+    run()  # warm the buffer pool: both measured runs hit every page
+    clean = run()
+    slow = run(FaultPlan(seed=0).arm("slow_node", rate=1.0,
+                                     target="node1", latency=1e-3))
+    tasks_on_1 = slow["per_node"][1]["tasks"]
+    assert tasks_on_1 > 0
+    assert slow["charged_by_category"][cat.FAULT_SLOW] == pytest.approx(
+        tasks_on_1 * 1e-3)
+    assert slow["per_node"][0]["busy_seconds"] == pytest.approx(
+        clean["per_node"][0]["busy_seconds"])
+    assert slow["per_node"][1]["busy_seconds"] > \
+        clean["per_node"][1]["busy_seconds"]
 
 
 # -- knobs and validation ----------------------------------------------------
@@ -217,9 +286,9 @@ def test_worker_clocks_empty_phase_is_noop():
 def test_scheduler_rejects_bad_knobs():
     clock = SimClock()
     with pytest.raises(ValueError):
-        MorselScheduler(clock, workers=0)
+        DistributedScheduler(clock, nodes=1, workers=0)
     with pytest.raises(ValueError):
-        MorselScheduler(clock, morsel_rows=0)
+        DistributedScheduler(clock, nodes=1, morsel_rows=0)
     with pytest.raises(ValueError):
         Executor(repro.connect().catalog, engine="parallel", workers=0)
 

@@ -1,12 +1,11 @@
-"""Parallel sort and partitioned aggregation: the retired serial-lane
-holdouts.
+"""Parallel sort and wide aggregation.
 
 Covers the total-order sort key (NaN bucketed deterministically between
 numbers and strings), three-way engine parity for ORDER BY over
 NaN/NULL/mixed-type keys and multi-key DESC sorts, wide GROUP BY past the
 mask-partition cutoff with NaN group keys at several worker counts, the
-sort-cost charge fix for empty/single-row inputs, and the mid-flight
-virtual-time budget enforcement at parallel phase boundaries.
+sort-cost charge fix for empty/single-row inputs, mid-flight virtual-time
+budget enforcement, and capped measurement on every engine.
 """
 
 from __future__ import annotations
@@ -152,8 +151,9 @@ def test_order_by_nan_deterministic_across_worker_counts(messy_db):
 # -- sort runs morsel-parallel now -------------------------------------------
 
 def test_sort_heavy_plan_gets_modeled_speedup():
-    """ORDER BY-heavy plans no longer ride the serial lane: the run sorts
-    parallelize and only the k-way merge remainder stays serial."""
+    """ORDER BY-heavy plans do not ride the serial lane: the run sorts
+    are placed on the workers and only the merge remainder stays
+    serial."""
     db = repro.connect()
     db.execute("CREATE TABLE t (id INT, v FLOAT)")
     heap = db.catalog.table("t")
@@ -163,13 +163,14 @@ def test_sort_heavy_plan_gets_modeled_speedup():
     stats = _run(db, "SELECT id, v FROM t ORDER BY v", engine="parallel",
                  workers=4).extra["parallel"]
     assert stats["modeled_speedup"] >= 2.0
-    assert stats["parallel_phases"] >= 2  # scan pipeline + run sorts
+    assert stats["parallel_phases"] >= 1  # the scan pipeline's tasks
+    assert stats["lane_seconds"] < stats["virtual_charged"] / 2
 
 
 def test_sort_charge_split_matches_serial_total(messy_db):
-    """Run charges + merge remainder must equal the serial engines' single
-    n*log2(n) charge (the parity invariant), asserted on the 'sort'
-    category specifically."""
+    """The placed runs and merge remainder split the serial engines'
+    single n*log2(n) charge, which the parallel engine still makes (the
+    parity invariant), asserted on the 'sort' category specifically."""
     sql = "SELECT id, k FROM m ORDER BY k"
     plan = messy_db.planner.plan_select(parse(sql))
     before = messy_db.clock.category_total("sort")
@@ -220,7 +221,7 @@ def test_wide_group_by_nan_keys_parity(wide_db, workers):
     plan = wide_db.planner.plan_select(parse(sql))
     Executor(wide_db.catalog, wide_db.clock, engine="batch").run(plan)
     row = Executor(wide_db.catalog, wide_db.clock, engine="row").run(plan)
-    assert len(row.rows) > ops.AggregateOp.PARTITION_MIN_KEYS
+    assert len(row.rows) > ops.AggregateOp._MASK_PARTITION_MAX_KEYS
     for engine in (Executor(wide_db.catalog, wide_db.clock, engine="batch"),
                    Executor(wide_db.catalog, wide_db.clock,
                             engine="parallel", workers=workers,
@@ -229,32 +230,6 @@ def test_wide_group_by_nan_keys_parity(wide_db, workers):
         assert _nan_safe(got.rows) == _nan_safe(row.rows)
         assert got.virtual_seconds == pytest.approx(
             row.virtual_seconds, rel=1e-6, abs=1e-9)
-
-
-def test_wide_group_by_uses_partitioned_merge(wide_db, monkeypatch):
-    """The partitioned path (finish_partitions) must actually engage past
-    the cutoff with several workers, and stay out of the narrow case."""
-    calls = []
-    orig = ops.AggregateOp.finish_partitions
-
-    def spy(self, partitions):
-        calls.append(len(partitions))
-        return orig(self, partitions)
-
-    monkeypatch.setattr(ops.AggregateOp, "finish_partitions", spy)
-    _run(wide_db, "SELECT k, count(*) FROM w GROUP BY k",
-         engine="parallel", workers=4, morsel_rows=64)
-    assert calls == [4]  # one merge task per worker partition
-    calls.clear()
-    # narrow GROUP BY (3 groups) keeps the plain morsel-order merge
-    db = repro.connect()
-    db.execute("CREATE TABLE n (g TEXT, v INT)")
-    heap = db.catalog.table("n")
-    for i in range(200):
-        heap.insert((["a", "b", "c"][i % 3], i))
-    _run(db, "SELECT g, sum(v) FROM n GROUP BY g", engine="parallel",
-         workers=4, morsel_rows=16)
-    assert calls == []
 
 
 def test_partitioned_merge_deterministic_across_workers(wide_db):
@@ -302,9 +277,9 @@ def _budget_db():
 
 
 def test_parallel_budget_fires_mid_flight():
-    """A cap below the query's total must interrupt a parallel run at a
-    phase boundary: BudgetExceeded raised, all charges accumulated so far
-    merged onto the shared clock, later phases never run."""
+    """A cap below the query's total must interrupt a parallel run at the
+    charge that crosses it: BudgetExceeded raised, the charges made so far
+    left on the shared clock, later pipelines never run."""
     db = _budget_db()
     sql = "SELECT id, v FROM b ORDER BY v DESC"
     plan = db.planner.plan_select(parse(sql))
@@ -312,7 +287,10 @@ def test_parallel_budget_fires_mid_flight():
     full = executor.run(plan)
     total = full.virtual_seconds
     start = db.clock.now
-    cap = total * 0.3
+    # the sort is one n*log2(n) charge at its finish (about three
+    # quarters of the total), as on the batch engine: a cap inside the
+    # scan must stop the run within one morsel task of the cap
+    cap = total * 0.1
     db.clock.set_limit(start + cap)
     try:
         with pytest.raises(BudgetExceeded):
@@ -321,9 +299,10 @@ def test_parallel_budget_fires_mid_flight():
     finally:
         db.clock.set_limit(None)
     charged = db.clock.now - start
-    # the cap was crossed (charges merged despite the raise) but the run
+    # the cap was crossed (charges stay despite the raise) but the run
     # stopped before doing all the serial engines' work
     assert charged > cap
+    assert charged < cap * 1.5
     assert charged < total * 0.999
 
 
@@ -342,18 +321,22 @@ def test_parallel_budget_clean_run_unaffected():
     assert _typed(capped.rows) == _typed(baseline.rows)
 
 
-def test_measure_downgrades_parallel_under_cap():
-    """Capped measurement must not use the parallel engine: the downgraded
-    run keeps serial per-charge budget enforcement and still censors."""
+@pytest.mark.parametrize("engine", ["batch", "parallel", "distributed"])
+def test_capped_measurement_agrees_across_engines(engine):
+    """Every engine enforces the budget per charge, so capped measurement
+    runs on the executor it is given: under the same cap each engine
+    returns the same censored flag and latency as batch."""
     db = _budget_db()
     plan = db.planner.plan_select(parse("SELECT id, v FROM b ORDER BY v"))
-    parallel = Executor(db.catalog, db.clock, engine="parallel", workers=4)
-    cap = 1e-6
-    measured = measure_plan_latency(parallel, db.clock, plan,
-                                    cap_virtual=cap)
-    assert measured.censored
-    assert measured.latency == cap
-    # uncapped measurement is allowed to stay parallel
-    uncapped = measure_plan_latency(parallel, db.clock, plan)
-    assert not uncapped.censored
-    assert uncapped.rows_produced == 20_000
+    batch = Executor(db.catalog, db.clock, engine="batch")
+    executor = Executor(db.catalog, db.clock, engine=engine, workers=4)
+    for cap in (1e-6, 10.0):
+        expected = measure_plan_latency(batch, db.clock, plan,
+                                        cap_virtual=cap)
+        measured = measure_plan_latency(executor, db.clock, plan,
+                                        cap_virtual=cap)
+        assert measured.censored == expected.censored == (cap == 1e-6)
+        assert measured.latency == pytest.approx(expected.latency,
+                                                 rel=1e-9)
+        if not measured.censored:
+            assert measured.rows_produced == 20_000

@@ -164,11 +164,6 @@ def test_rows_out_matches_unfused(db):
     assert op_a._child.rows_out == op_b._child.rows_out
 
 
-def test_with_engine_carries_fusion_flag(db):
-    executor = Executor(db.catalog, db.clock, engine="parallel", fused=False)
-    assert executor.with_engine("batch").fused is False
-
-
 def test_pipeline_description_in_result_extra(db):
     result = Executor(db.catalog, db.clock, engine="batch").run(
         db.planner.plan_select(parse("SELECT grp, sum(v) FROM t GROUP BY grp")))

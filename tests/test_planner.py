@@ -146,9 +146,17 @@ class TestUpperPlan:
 
     def test_sort_and_limit_stack(self, users_orders_db):
         node = users_orders_db.planner.plan_select(
-            parse("SELECT name FROM users ORDER BY age LIMIT 3"))
+            parse("SELECT name, age FROM users ORDER BY age LIMIT 3"))
         assert isinstance(node, Limit)
         assert isinstance(node.child, Sort)
+        # a key outside the select list is a hidden sort column that a
+        # Project above the sort drops
+        node = users_orders_db.planner.plan_select(
+            parse("SELECT name FROM users ORDER BY age LIMIT 3"))
+        assert isinstance(node, Limit)
+        assert isinstance(node.child, Project)
+        assert [item.alias for item in node.child.items] == ["name"]
+        assert isinstance(node.child.child, Sort)
 
     def test_estimates_populated(self, users_orders_db):
         node = users_orders_db.planner.plan_select(

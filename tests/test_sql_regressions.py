@@ -1,7 +1,8 @@
 """Regression tests for SQL semantics checked against stdlib ``sqlite3``:
 three-valued ``IN``/``NOT IN`` with a NULL in the list, ``%`` as the SQL
-remainder (sign of the dividend), and over-deep expressions raising
-:class:`ParseError` rather than ``RecursionError``.
+remainder (sign of the dividend), ORDER BY keys that are not in the
+select list, and over-deep expressions raising :class:`ParseError`
+rather than ``RecursionError``.
 
 Each sqlite-checked query runs on the row engine and on the batch engine,
 whose WHERE clauses go through the vectorized evaluators, so both
@@ -15,7 +16,7 @@ import sqlite3
 import pytest
 
 import repro
-from repro.common.errors import ParseError
+from repro.common.errors import BindError, ParseError
 from repro.exec.executor import Executor
 from repro.sql import parse
 from repro.sql.parser import MAX_EXPR_DEPTH, MAX_EXPR_NESTING
@@ -89,6 +90,58 @@ def test_float_remainder_takes_the_dividend_sign(dbs, engine):
 def test_integer_division_returns_a_float(dbs):
     db, _ = dbs
     assert db.execute("SELECT 7 / 2, -7 / 2").rows == [(3.5, -3.5)]
+
+
+# ORDER BY keys outside the select list: hidden sort columns that a
+# Project above the sort drops.  Keys are tie-free on this data, so the
+# row order itself is compared.
+ORDER_ROWS = [(1, "a", 3.0), (2, "b", 10.0), (3, "a", 4.5), (4, "c", 1.0),
+              (5, "b", 2.0), (6, "a", 0.25), (7, "a", 6.0)]
+
+ORDER_QUERIES = [
+    "SELECT v FROM o ORDER BY id DESC LIMIT 3",
+    "SELECT g, count(*) FROM o GROUP BY g ORDER BY count(*) DESC",
+    "SELECT g FROM o GROUP BY g ORDER BY sum(v)",
+    "SELECT g, count(*) AS n FROM o GROUP BY g ORDER BY sum(v) DESC, n",
+    "SELECT o.v FROM o ORDER BY o.id DESC",
+    "SELECT g, v FROM o WHERE v > 1 ORDER BY id",
+    "SELECT v + 1 FROM o ORDER BY -id",
+    "SELECT g, max(v), min(v) FROM o GROUP BY g ORDER BY avg(v)",
+]
+
+
+@pytest.fixture(scope="module")
+def order_dbs():
+    db = repro.connect()
+    db.execute("CREATE TABLE o (id INT UNIQUE, g TEXT, v FLOAT)")
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE o (id INTEGER, g TEXT, v REAL)")
+    for row in ORDER_ROWS:
+        db.execute(f"INSERT INTO o VALUES {row!r}")
+        oracle.execute(f"INSERT INTO o VALUES {row!r}")
+    db.execute("ANALYZE")
+    yield db, oracle
+    oracle.close()
+
+
+@pytest.mark.parametrize("engine", ["row", "batch", "parallel",
+                                    "distributed"])
+@pytest.mark.parametrize("sql", ORDER_QUERIES)
+def test_order_by_keys_outside_the_select_list(order_dbs, sql, engine):
+    db, oracle = order_dbs
+    plan = db.planner.plan_select(parse(sql))
+    result = Executor(db.catalog, db.clock, engine=engine).run(plan)
+    expected = oracle.execute(sql)
+    assert result.rows == expected.fetchall()
+    assert len(result.columns) == len(expected.description)
+
+
+def test_order_by_hidden_key_under_distinct_raises(order_dbs):
+    db, _ = order_dbs
+    with pytest.raises(BindError, match="SELECT DISTINCT"):
+        db.execute("SELECT DISTINCT g FROM o ORDER BY v")
+    assert db.execute("SELECT DISTINCT g FROM o ORDER BY g").rows == [
+        ("a",), ("b",), ("c",)]
 
 
 OVER_DEEP = [

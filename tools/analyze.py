@@ -14,8 +14,8 @@ Usage::
   findings and what suppressed them
 * ``--verbose``: include suppressed findings in the human report
 
-The pass lineup is :data:`repro.analysis.ALL_PASSES`: determinism lint,
-charge-category registry check, parallel-hook race analysis.  Pragma
+The pass lineup is :data:`repro.analysis.ALL_PASSES`: determinism lint
+and charge-category registry check.  Pragma
 syntax and the rule catalogue are documented in ``docs/analysis.md``.
 """
 
