@@ -309,8 +309,8 @@ def map_scan_blocks(table, process: Callable[[RowBlock, SimClock], object],
         return [process(block, lane) for block in blocks]
     from repro.exec.distributed import DistributedScheduler
     kwargs = {} if retry_limit is None else {"retry_limit": retry_limit}
-    return DistributedScheduler(lane, nodes=1, workers=workers,
-                                faults=faults, **kwargs).map(blocks, process)
+    return DistributedScheduler(lane, nodes=1, faults=faults,
+                                **kwargs).map(blocks, process)
 
 
 def table_column_stream(table, feature_columns: list[str],

@@ -466,8 +466,7 @@ class DistributedScheduler:
     def _gather(self, tasks: list[_Task], op, label: str) -> None:
         self._exchange(cat.GATHER,
                        [(task.node, COORDINATOR, task.bytes, task.rows)
-                        for task in tasks if task.node != COORDINATOR],
-                       op, label)
+                        for task in tasks], op, label)
 
     def _aggregate_exchange(self, sink: pl.AggregateSink) -> None:
         """One state per (node, group): gathered to the coordinator, or —
@@ -487,20 +486,17 @@ class DistributedScheduler:
             for node, gids in enumerate(groups):
                 counts = np.bincount(owner[gids], minlength=self.nodes)
                 transfers += [(node, dst, int(k) * size, int(k))
-                              for dst, k in enumerate(counts)
-                              if dst != node and k]
+                              for dst, k in enumerate(counts)]
             self._exchange(cat.SHUFFLE, transfers, op, "partial repartition")
             owned = np.bincount(owner, minlength=self.nodes)
             self._exchange(cat.GATHER,
                            [(node, COORDINATOR, int(k) * size, int(k))
-                            for node, k in enumerate(owned)
-                            if node != COORDINATOR and k],
+                            for node, k in enumerate(owned)],
                            op, "merged partitions")
         else:
             self._exchange(cat.GATHER,
                            [(node, COORDINATOR, len(g) * size, len(g))
-                            for node, g in enumerate(groups)
-                            if node != COORDINATOR and len(g)],
+                            for node, g in enumerate(groups)],
                            op, "aggregate partials")
 
     def _broadcast_builds(self, stages: list[pl.PipelineStage],
@@ -526,8 +522,10 @@ class DistributedScheduler:
 
     def _exchange(self, category: str, transfers: list, op,
                   label: str) -> None:
-        """Charge one exchange under ``op``'s span and log it."""
-        if not transfers:
+        """Charge one exchange under ``op``'s span and log it; local and
+        empty transfers ship nothing."""
+        if not any(src != dst and (nbytes > 0 or rows > 0)
+                   for src, dst, nbytes, rows in transfers):
             return
         tracer = self._clock.tracer
         previous, self._bucket = self._bucket, self._net
@@ -539,8 +537,6 @@ class DistributedScheduler:
             if tracer is not None:
                 tracer.pop()
             self._bucket = previous
-        if not stats["messages"]:
-            return
         self._exchange_makespan += stats["makespan"]
         for entry in stats["per_node"]:
             net = self._node_net[entry["node"]]
