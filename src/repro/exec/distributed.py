@@ -8,7 +8,7 @@ at the charge that crosses them).  What changes is *bookkeeping*: every
 scan pipeline is split into tasks — one per morsel of
 :data:`DEFAULT_MORSEL_ROWS` rows, morsels never spanning a shard — and the
 :class:`DistributedScheduler` attached to the clock as its ``recorder``
-files every charge under the task, the node's page I/O, the network, or
+files every charge under the task, the shard's page I/O, the network, or
 the coordinator's serial lane.  Each task also records the rows and
 modeled bytes it hands downstream.  The parallel engine is the
 ``nodes=1`` case of the same model.
@@ -34,10 +34,10 @@ Afterwards the recorded costs are *placed*:
   GROUP BYs repartition those states to owner nodes (group id modulo the
   node count) before the owners ship their groups to the coordinator.
 
-Compute charges are therefore identical at every topology, and the per-
-category totals in ``charged_by_category`` are a pure function of the
-charge sequence — only the network categories (zero at one node) and the
-modeled makespan move with ``nodes`` and ``workers``.
+Compute charges are therefore identical at every topology, and so are
+the compute totals in ``charged_by_category``, folded over the buckets
+in a fixed order — only the network categories (zero at one node) and
+the modeled makespan move with ``nodes`` and ``workers``.
 
 **Faults** replay recorded charges.  Once a task has run, the fault plan
 is consulted per attempt at site ``(scope, phase, task, attempt)``: a
