@@ -11,8 +11,10 @@ Covered here: NetworkModel unit behavior (pair batching, NIC queueing,
 local-transfer elision), the parity sweep across nodes x workers over
 hash- and range-partitioned tables (including NaN/NULL shuffle keys),
 exchange presence per plan shape, EXPLAIN ANALYZE exchange rendering
-with an empty ``(other)`` bucket, per-node metrics gauges, and
-``slow_node`` fault injection (targeted skew + seed determinism).
+with an empty ``(other)`` bucket, per-node metrics gauges,
+``slow_node`` fault injection (targeted skew + seed determinism), exchange
+sizing from execution (gathered blocks, one aggregate state per remote
+group, build broadcasts), and the placement of tasks on shard nodes.
 """
 
 from __future__ import annotations
@@ -179,6 +181,61 @@ class TestPayloadSizing:
         # 60 groups, each touched by both nodes, half owned by the other
         assert shuffle[0]["rows"] == 60
         assert shuffle[0]["bytes"] == 60 * (8 + 16 * 2)
+
+    def test_block_bytes_counts_only_the_rows_sent(self):
+        from repro.exec.batch import RowBlock
+        from repro.exec.expr import RowLayout
+        layout = RowLayout([("t", "a"), ("t", "b")])
+        block = RowBlock.from_rows(layout, [(1, "x"), (2, "y"), (3, "z")])
+        assert block_bytes(block, 1) * 3 == block_bytes(block)
+        assert block_bytes(block, 0) == 0
+
+    def test_scan_gather_ships_the_remote_nodes_rows(self):
+        """A plain scan gathers every remote task's rows to the
+        coordinator, sized at 8 bytes per INT/FLOAT value."""
+        db = _build_db(2)
+        shard1 = len(db.catalog.table("orders").shard_tables[1])
+        stats = _run(db, "SELECT oid, amount FROM orders", "distributed",
+                     nodes=2, morsel_rows=16).extra["distributed"]
+        assert [e["kind"] for e in stats["exchanges"]] == [cat.GATHER]
+        assert stats["exchanges"][0]["label"] == "result gather"
+        assert stats["exchanges"][0]["rows"] == shard1
+        assert stats["bytes_on_wire"] == shard1 * 16
+        assert stats["per_node"][1]["rows_sent"] == shard1
+        assert stats["per_node"][0]["rows_sent"] == 0
+
+    def test_narrow_group_by_gathers_one_state_per_remote_group(self):
+        """A GROUP BY with few groups gathers, without a shuffle, one state
+        per group each remote node's tasks touched."""
+        db = _build_db(2)
+        sql = "SELECT item, count(*), sum(amount) FROM orders GROUP BY item"
+        plan = db.planner.plan_select(parse(sql))
+        op = Executor(db.catalog, db.clock).build(plan)
+        while not hasattr(op, "_agg_calls"):
+            op = op._child
+        shard1 = db.catalog.table("orders").shard_tables[1]
+        touched = {row[3] for _, row in shard1.scan()}
+        stats = _run(db, sql, "distributed", nodes=2,
+                     morsel_rows=16).extra["distributed"]
+        assert stats["rows_shuffled"] == 0
+        [gather] = stats["exchanges"]
+        assert (gather["kind"], gather["label"]) == (cat.GATHER,
+                                                     "aggregate partials")
+        assert gather["rows"] == len(touched)
+        assert gather["bytes"] == len(touched) * state_bytes(op)
+
+    def test_build_side_broadcasts_to_every_remote_node(self):
+        db = _build_db(4)
+        stats = _run(db, "SELECT name, amount FROM users JOIN orders "
+                         "ON id = uid", "distributed",
+                     nodes=4).extra["distributed"]
+        broadcasts = [e for e in stats["exchanges"]
+                      if e["kind"] == cat.BROADCAST]
+        assert len(broadcasts) == 1
+        # the build table, once to each of the three non-coordinator nodes
+        assert broadcasts[0]["rows"] % 3 == 0
+        assert broadcasts[0]["rows"] > 0
+        assert stats["per_node"][0]["bytes_sent"] > 0
 
 
 class TestDistributedParity:
@@ -402,3 +459,71 @@ class TestSchedulerValidation:
                  registry=registry).run(plan)
         snap = registry.snapshot()
         assert snap["counters"].get("exec.tasks", 0) >= 1
+
+
+class TestPlacement:
+    def test_morsels_never_span_shards(self):
+        """Each shard splits into its own morsels, so the task count is the
+        per-shard ceiling sum, and each node runs its shards' tasks."""
+        db = _build_db(4)
+        shards = [len(s) for s in db.catalog.table("orders").shard_tables]
+        stats = _run(db, "SELECT count(*) FROM orders", "distributed",
+                     nodes=2, morsel_rows=16).extra["distributed"]
+        per_shard = [-(-rows // 16) for rows in shards]
+        assert stats["tasks"] == sum(per_shard)
+        assert stats["per_node"][0]["tasks"] == per_shard[0] + per_shard[2]
+        assert stats["per_node"][1]["tasks"] == per_shard[1] + per_shard[3]
+
+    def test_one_node_ships_nothing(self):
+        db = _build_db(4)
+        for sql in DIST_QUERIES:
+            stats = _run(db, sql, "distributed", nodes=1,
+                         workers=4).extra["distributed"]
+            assert stats["exchanges"] == [], sql
+            assert all(stats["charged_by_category"].get(c, 0.0) == 0.0
+                       for c in NET_CATEGORIES), sql
+
+    def test_limit_plan_is_coordinator_lane_time(self):
+        """A LIMIT plan runs on the coordinator's lane at any topology:
+        no tasks, no exchanges, makespan == charged."""
+        db = _build_db(4)
+        sql = "SELECT name, age FROM users ORDER BY age DESC, name LIMIT 5"
+        base = _run(db, sql, "batch")
+        got = _run(db, sql, "distributed", nodes=4, workers=4)
+        assert _typed(got.rows) == _typed(base.rows)
+        stats = got.extra["distributed"]
+        assert stats["tasks"] == 0
+        assert stats["exchanges"] == []
+        assert stats["virtual_makespan"] == stats["virtual_charged"]
+
+    def test_more_nodes_shorten_a_scan_heavy_makespan(self):
+        """With enough rows per shard, spreading the scan tasks over more
+        nodes outweighs the exchange they add."""
+        db = repro.connect(shards=4)
+        db.execute("CREATE TABLE s (id INT, g INT, v FLOAT)")
+        heap = db.catalog.table("s")
+        for i in range(20_000):
+            heap.insert((i, i % 7, float(i)))
+        sql = "SELECT g, sum(v) FROM s WHERE v > 10 GROUP BY g"
+        db.execute(sql)  # warm the buffer pool for the measured runs
+        spans = []
+        for nodes in (1, 2, 4):
+            stats = _run(db, sql, "distributed", nodes=nodes,
+                         workers=1).extra["distributed"]
+            spans.append(stats["virtual_makespan"])
+        assert spans[0] > spans[1] > spans[2]
+
+    def test_crash_on_a_node_keeps_rows_and_counts_the_replay(self):
+        db = _build_db(4)
+        sql = "SELECT item, count(*), sum(amount) FROM orders " \
+              "GROUP BY item ORDER BY item"
+        base = _run(db, sql, "distributed", nodes=2, workers=2,
+                    morsel_rows=16)
+        plan = FaultPlan(FAULT_SEED).arm("worker_crash", times=(0, 3))
+        got = _run(db, sql, "distributed", nodes=2, workers=2,
+                   morsel_rows=16, faults=plan)
+        assert _typed(got.rows) == _typed(base.rows)
+        stats = got.extra["distributed"]
+        assert stats["crashes_recovered"] == 2
+        assert stats["virtual_charged"] > \
+            base.extra["distributed"]["virtual_charged"]

@@ -5,8 +5,9 @@ exercises the engine itself: degenerate morsel shapes (empty tables,
 1-row morsels, more workers than morsels), determinism across worker
 counts, the virtual-time invariants (total == serial total, makespan <=
 total), the placement of recorded charges (list scheduling, the sort
-run/remainder split, crash replay, slow nodes, LIMIT on the lane), and
-the storage-level morsel splitting contract.
+run/remainder split, crash and task-error replay, retry exhaustion, slow
+workers and nodes, LIMIT on the lane), and the storage-level morsel
+splitting contract.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import pytest
 
 import repro
 from repro.common import categories as cat
+from repro.common.errors import TransientError, WorkerCrash
 from repro.common.faults import FaultPlan
-from repro.common.simtime import CostModel, SimClock
+from repro.common.simtime import BudgetExceeded, CostModel, SimClock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.operators import SortOp
+from repro.obs.metrics import MetricsRegistry
 from repro.sql import parse
 
 
@@ -279,6 +282,137 @@ def test_slow_node_inflates_only_its_node():
         clean["per_node"][0]["busy_seconds"])
     assert slow["per_node"][1]["busy_seconds"] > \
         clean["per_node"][1]["busy_seconds"]
+
+
+def test_map_without_items_places_nothing():
+    """A phase with no tasks is empty bookkeeping: no tasks, no parallel
+    phase, and a zero makespan."""
+    clock = SimClock()
+    sched = DistributedScheduler(clock, nodes=1, workers=4)
+    assert sched.map([], _charging([])) == []
+    stats = sched.finish()
+    assert stats["tasks"] == 0
+    assert stats["parallel_phases"] == 0
+    assert stats["virtual_makespan"] == 0.0
+    assert stats["virtual_charged"] == 0.0
+    assert stats["modeled_speedup"] == 1.0
+    assert clock.now == 0.0
+
+
+def test_lane_charges_count_fully_toward_makespan():
+    """Charges filed outside any task are coordinator lane time: they add
+    to the makespan in full, on top of the phase's list schedule."""
+    sched = DistributedScheduler(SimClock(), nodes=1, workers=4)
+    sched.charge(cat.SORT, 2.0)
+    sched.map(list(range(4)), _charging([1.0] * 4))
+    stats = sched.finish()
+    assert stats["lane_seconds"] == pytest.approx(2.0)
+    assert stats["virtual_charged"] == pytest.approx(6.0)
+    assert stats["virtual_makespan"] == pytest.approx(3.0)
+    assert stats["modeled_speedup"] == pytest.approx(2.0)
+
+
+def test_task_error_retry_does_not_charge_the_work_again():
+    """A task_error strikes before an attempt's work: the retried attempt
+    is the one that ran, so nothing is charged twice and no lane is lost."""
+    clock = SimClock()
+    plan = FaultPlan(seed=0).arm("task_error", times=(1,))
+    sched = DistributedScheduler(clock, nodes=1, workers=2, faults=plan)
+    assert sched.map(list(range(4)), _charging([1.0] * 4)) == list(range(4))
+    stats = sched.finish()
+    assert stats["task_retries"] == 1
+    assert stats["crashes_recovered"] == 0
+    assert clock.category_total(cat.SCAN) == pytest.approx(4.0)
+    assert stats["virtual_makespan"] == pytest.approx(2.0)
+
+
+def test_single_worker_crash_keeps_one_lane():
+    """A crash on a one-worker node cannot leave it without a lane: the
+    replayed attempt queues behind the others on the same worker."""
+    clock = SimClock()
+    plan = FaultPlan(seed=0).arm("worker_crash", times=(2,))
+    sched = DistributedScheduler(clock, nodes=1, workers=1, faults=plan)
+    sched.map(list(range(3)), _charging([1.0, 2.0, 3.0]))
+    stats = sched.finish()
+    assert stats["crashes_recovered"] == 1
+    assert stats["virtual_charged"] == pytest.approx(9.0)
+    assert stats["virtual_makespan"] == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("kind,error", [("task_error", TransientError),
+                                        ("worker_crash", WorkerCrash)])
+def test_exhausted_retries_raise_the_fault(kind, error):
+    """Past ``retry_limit`` retries the fault's own exception escapes."""
+    plan = FaultPlan(seed=0).arm(kind, rate=1.0)
+    sched = DistributedScheduler(SimClock(), nodes=1, workers=2,
+                                 faults=plan, retry_limit=1)
+    with pytest.raises(error):
+        sched.map([0], _charging([1.0]))
+    assert plan.count(kind) == 2
+
+
+def test_slow_worker_charges_fault_latency_per_task():
+    """slow_worker latency is charged after each struck attempt's work,
+    under its own category, and lengthens that task's lane."""
+    clock = SimClock()
+    plan = FaultPlan(seed=0).arm("slow_worker", rate=1.0, latency=0.5)
+    sched = DistributedScheduler(clock, nodes=1, workers=2, faults=plan)
+    sched.map(list(range(4)), _charging([1.0] * 4))
+    stats = sched.finish()
+    assert stats["charged_by_category"][cat.FAULT_SLOW] == pytest.approx(2.0)
+    assert stats["charged_by_category"][cat.SCAN] == pytest.approx(4.0)
+    assert stats["virtual_makespan"] == pytest.approx(3.0)
+
+
+def test_fault_counters_reach_the_registry():
+    registry = MetricsRegistry()
+    plan = (FaultPlan(seed=0).arm("task_error", times=(0,))
+            .arm("worker_crash", times=(1,)))
+    sched = DistributedScheduler(SimClock(), nodes=1, workers=2,
+                                 faults=plan, registry=registry)
+    sched.map(list(range(3)), _charging([1.0] * 3))
+    sched.finish()
+    counters = registry.snapshot()["counters"]
+    assert counters["exec.tasks"] == 3
+    assert counters["exec.parallel_phases"] == 1
+    assert counters["exec.task_retries"] == 1
+    assert counters["exec.crashes_recovered"] == 1
+
+
+def test_parallel_engine_is_the_single_node_placement():
+    """The parallel engine is the nodes=1 case of the placement model:
+    same rows, tasks, charges and makespan, and no exchange at all."""
+    db = _fresh_db(rows=500)
+    sql = "SELECT grp, count(*), sum(v) FROM t WHERE v > 3 GROUP BY grp"
+    db.execute(sql)  # warm the buffer pool for both measured runs
+    parallel = _run(db, sql, engine="parallel", workers=4, morsel_rows=64)
+    single = _run(db, sql, engine="distributed", nodes=1, workers=4,
+                  morsel_rows=64)
+    assert _typed(parallel.rows) == _typed(single.rows)
+    p, d = parallel.extra["parallel"], single.extra["distributed"]
+    assert p["tasks"] == d["tasks"] == math.ceil(500 / 64)
+    assert p["charged_by_category"] == d["charged_by_category"]
+    assert p["virtual_makespan"] == pytest.approx(d["virtual_makespan"],
+                                                  rel=1e-12)
+    assert p["exchanges"] == d["exchanges"] == []
+    assert p["bytes_on_wire"] == 0
+
+
+def test_failed_run_detaches_the_recorder_and_keeps_its_charges():
+    """A query that fails mid-flight leaves its charges on the clock and
+    the clock without a recorder, like the batch engine."""
+    db = _fresh_db(rows=2000)
+    plan = db.planner.plan_select(parse("SELECT id FROM t ORDER BY v"))
+    start = db.clock.now
+    db.clock.set_limit(start + 1e-9)
+    try:
+        with pytest.raises(BudgetExceeded):
+            Executor(db.catalog, db.clock, engine="parallel",
+                     workers=4).run(plan)
+    finally:
+        db.clock.set_limit(None)
+    assert db.clock.recorder is None
+    assert db.clock.now > start
 
 
 # -- knobs and validation ----------------------------------------------------

@@ -107,6 +107,8 @@ ORDER_QUERIES = [
     "SELECT g, v FROM o WHERE v > 1 ORDER BY id",
     "SELECT v + 1 FROM o ORDER BY -id",
     "SELECT g, max(v), min(v) FROM o GROUP BY g ORDER BY avg(v)",
+    "SELECT id FROM o ORDER BY g DESC, v",
+    "SELECT g FROM o GROUP BY g ORDER BY max(v) - min(v) DESC",
 ]
 
 
