@@ -398,7 +398,9 @@ class NeurDB:
                     f"got {len(value_row)}")
             full: list[Any] = [None] * len(schema)
             for position, expr in zip(positions, value_row):
-                full[position] = compile_expr(expr, empty_layout)(())
+                full[position] = (
+                    expr.value if isinstance(expr, ast.Literal)
+                    else compile_expr(expr, empty_layout)(()))
             rid = table.insert(full)
             self._index_insert(statement.table, table.read(rid), rid)
             inserted += 1

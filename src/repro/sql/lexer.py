@@ -3,12 +3,19 @@
 Produces a flat token stream for the recursive-descent parser.  Keywords are
 case-insensitive; identifiers are lower-cased; string literals use single
 quotes with ``''`` escaping, as in standard SQL.
+
+One compiled master pattern scans the text: each match is a run of
+whitespace and ``--`` comments followed by one token, found by its named
+group, so the whole scan is one ``finditer`` pass with no per-character
+Python loop.  The ``other`` group matches any one character no token
+starts with, which is how an illegal character or an unterminated string
+surfaces; the empty alternative at the end of the text ends the scan.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 
 from repro.common.errors import ParseError
 
@@ -34,86 +41,74 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: str
-    position: int
+    """One token; ``position`` is the offset of its first character."""
+
+    __slots__ = ("type", "value", "position")
+
+    def __init__(self, type: TokenType, value: str, position: int):
+        self.type = type
+        self.value = value
+        self.position = position
+
+    def __repr__(self) -> str:
+        return (f"Token({self.type.name}, {self.value!r}, "
+                f"{self.position})")
 
     def is_keyword(self, *names: str) -> bool:
         return self.type is TokenType.KEYWORD and self.value in names
 
 
-_OPERATORS = ("<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = "(),.;"
+# A number is a digit (or a dot before a digit) followed by digits, dots
+# and exponent markers, each marker optionally signed; malformed spellings
+# such as ``1.2.3`` or ``1e`` are one NUMBER token the parser rejects.  A
+# string ends at a quote not followed by another (``''`` is an escaped
+# quote), so ``'it''`` is unterminated rather than ``'it'`` plus ``'``.
+_MASTER = re.compile(r"""
+    \s*(?:--[^\n]*\s*)*
+    (?: (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?[\d.]*)*)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<operator><>|<=|>=|!=|[=<>+\-*/%])
+      | (?P<punct>[(),.;])
+      | (?P<other>.)
+      | \Z )
+""", re.VERBOSE | re.DOTALL)
+
+# groups whose text is the token value as is
+_VERBATIM = {"number": TokenType.NUMBER, "operator": TokenType.OPERATOR,
+             "punct": TokenType.PUNCT}
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Tokenize ``sql``; raises :class:`ParseError` on an illegal character."""
+    """Tokenize ``sql``; raises :class:`ParseError` on an illegal character
+    or an unterminated string literal."""
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for match in _MASTER.finditer(sql):
+        kind = match.lastgroup
+        verbatim = _VERBATIM.get(kind)
+        if verbatim is not None:
+            append(Token(verbatim, match.group(kind), match.start(kind)))
             continue
-        if sql.startswith("--", i):  # line comment
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'":
-            text, i = _read_string(sql, i)
-            tokens.append(Token(TokenType.STRING, text, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start = i
-            while i < n and (sql[i].isdigit() or sql[i] in ".eE"
-                             or (sql[i] in "+-" and sql[i - 1] in "eE")):
-                i += 1
-            tokens.append(Token(TokenType.NUMBER, sql[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
+        if kind is None:  # the end of the text
+            break
+        text = match.group(kind)
+        start = match.start(kind)
+        if kind == "word":
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(Token(TokenType.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenType.IDENT, word.lower(), start))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"illegal character {ch!r} at position {i}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
+                append(Token(TokenType.IDENT, text.lower(), start))
+        elif kind == "string":
+            append(Token(TokenType.STRING, text[1:-1].replace("''", "'"),
+                         start))
+        elif text == "'":
+            raise ParseError(
+                f"unterminated string literal starting at {start}", start)
+        else:
+            raise ParseError(
+                f"illegal character {text!r} at position {start}", start)
+    append(Token(TokenType.EOF, "", len(sql)))
     return tokens
-
-
-def _read_string(sql: str, i: int) -> tuple[str, int]:
-    """Read a single-quoted string starting at ``i``; returns (text, next_i)."""
-    assert sql[i] == "'"
-    out: list[str] = []
-    j = i + 1
-    n = len(sql)
-    while j < n:
-        if sql[j] == "'":
-            if j + 1 < n and sql[j + 1] == "'":  # escaped quote
-                out.append("'")
-                j += 2
-                continue
-            return "".join(out), j + 1
-        out.append(sql[j])
-        j += 1
-    raise ParseError(f"unterminated string literal starting at {i}", i)

@@ -37,6 +37,20 @@ def _expr_height(expr: ast.Expr) -> int:
     return height
 
 
+def _number_literal(token: Token) -> ast.Literal:
+    """The value of a NUMBER token: a float if it has a fraction or an
+    exponent, else an int.  The lexer accepts runs such as ``1.2.3`` or
+    ``1e`` as one token; they are rejected here, at the token."""
+    text = token.value
+    try:
+        if "." in text or "e" in text or "E" in text:
+            return ast.Literal(float(text))
+        return ast.Literal(int(text))
+    except ValueError:
+        raise ParseError(f"malformed number {text!r}",
+                         token.position) from None
+
+
 def parse(sql: str) -> ast.Statement:
     """Parse a single SQL statement (a trailing ``;`` is allowed)."""
     return _Parser(tokenize(sql)).parse_statement()
@@ -59,8 +73,9 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+    def _peek(self) -> Token:
+        # _advance never moves past the EOF token, so _pos is always valid
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -93,23 +108,27 @@ class _Parser:
         raise ParseError(f"expected identifier, got {token.value!r}",
                          token.position)
 
+    # the _match_* helpers step over a matched token directly: it is not
+    # EOF, so _advance's EOF guard has nothing to do
+
     def _match_keyword(self, *names: str) -> bool:
-        if self._peek().is_keyword(*names):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.type is TokenType.KEYWORD and token.value in names:
+            self._pos += 1
             return True
         return False
 
     def _match_punct(self, value: str) -> bool:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.type is TokenType.PUNCT and token.value == value:
-            self._advance()
+            self._pos += 1
             return True
         return False
 
     def _match_operator(self, *ops: str) -> Optional[str]:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.type is TokenType.OPERATOR and token.value in ops:
-            self._advance()
+            self._pos += 1
             return token.value
         return None
 
@@ -287,11 +306,29 @@ class _Parser:
 
     def _parse_value_row(self) -> tuple[ast.Expr, ...]:
         self._expect_punct("(")
-        exprs = [self._parse_expr()]
+        exprs = [self._parse_value()]
         while self._match_punct(","):
-            exprs.append(self._parse_expr())
+            exprs.append(self._parse_value())
         self._expect_punct(")")
         return tuple(exprs)
+
+    def _parse_value(self) -> ast.Expr:
+        """One VALUES element.  A lone number or string (followed by ``,``
+        or ``)``) is the common case of bulk ingest and becomes a Literal
+        without descending the expression grammar; anything else, a
+        signed number included, goes through :meth:`_parse_expr` and its
+        depth and nesting limits."""
+        token = self._tokens[self._pos]
+        kind = token.type
+        if kind is TokenType.NUMBER or kind is TokenType.STRING:
+            # a non-EOF token always has a successor (EOF at worst)
+            follow = self._tokens[self._pos + 1]
+            if follow.type is TokenType.PUNCT and follow.value in ",)":
+                self._pos += 1
+                if kind is TokenType.NUMBER:
+                    return _number_literal(token)
+                return ast.Literal(token.value)
+        return self._parse_expr()
 
     def _parse_update(self) -> ast.Update:
         self._expect_keyword("UPDATE")
@@ -472,14 +509,16 @@ class _Parser:
         only truly ambiguous spelling is a comparison of a ``refresh``
         column against a column named ``auto``/``manual``, which the
         options grammar claims."""
-        return (self._peek(1).type is TokenType.PUNCT
-                and self._peek(1).value == "("
-                and self._peek(2).type is TokenType.IDENT
-                and self._peek(2).value in self._PREDICT_OPTIONS
-                and self._peek(3).type is TokenType.OPERATOR
-                and self._peek(3).value == "="
-                and self._peek(4).type is TokenType.IDENT
-                and self._peek(4).value in ("auto", "manual"))
+        ahead = self._tokens[self._pos + 1:self._pos + 5]
+        return (len(ahead) == 4
+                and ahead[0].type is TokenType.PUNCT
+                and ahead[0].value == "("
+                and ahead[1].type is TokenType.IDENT
+                and ahead[1].value in self._PREDICT_OPTIONS
+                and ahead[2].type is TokenType.OPERATOR
+                and ahead[2].value == "="
+                and ahead[3].type is TokenType.IDENT
+                and ahead[3].value in ("auto", "manual"))
 
     def _parse_predict_options(self) -> str:
         """Parse ``(refresh = auto|manual)``; returns the refresh mode."""
@@ -629,10 +668,7 @@ class _Parser:
         token = self._peek()
         if token.type is TokenType.NUMBER:
             self._advance()
-            text = token.value
-            if any(c in text for c in ".eE"):
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return _number_literal(token)
         if token.type is TokenType.STRING:
             self._advance()
             return ast.Literal(token.value)

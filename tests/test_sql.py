@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.common.errors import ParseError
 from repro.sql import ast, parse, parse_script, tokenize
 from repro.sql.lexer import TokenType
+from repro.sql.parser import MAX_EXPR_DEPTH, MAX_EXPR_NESTING
 from repro.storage.types import DataType
 
 
@@ -257,6 +259,90 @@ class TestPredictParsing:
     def test_predict_requires_of(self):
         with pytest.raises(ParseError):
             parse("PREDICT CLASS y FROM t")
+
+
+# every spelling a VALUES element can take: the lone numbers and strings
+# take the literal path, the rest the expression grammar
+VALUE_FORMS = ["7", ".5", "1e-3", "'it''s'", "NULL", "TRUE", "FALSE", "-3",
+               "-0.5", "1+2", "(4)", "abs(-1)"]
+
+
+def _select_expr(form: str) -> ast.Expr:
+    return parse(f"SELECT {form}").items[0].expr
+
+
+class TestValuesLiteralPath:
+    """A lone number or string in a VALUES row becomes a Literal without
+    entering the expression grammar, and INSERT stores a Literal's value
+    without compiling it.  Neither may change an AST, a stored row or a
+    charge.  ``repr`` is compared so that ``Literal(1)`` and
+    ``Literal(True)``, equal as dataclasses, stay apart."""
+
+    @pytest.mark.parametrize("form", VALUE_FORMS)
+    def test_element_equals_the_select_expression(self, form):
+        expected = repr(_select_expr(form))
+        insert = parse(f"INSERT INTO t VALUES ({form}), (0, {form})")
+        assert repr(insert.rows[0][0]) == expected
+        assert repr(insert.rows[1][1]) == expected
+        predict = parse(f"PREDICT VALUE OF y FROM t VALUES ({form}, 0)")
+        assert repr(predict.inline_rows[0][0]) == expected
+
+    def test_whole_row_equals_the_select_list(self):
+        insert = parse(f"INSERT INTO t VALUES ({', '.join(VALUE_FORMS)})")
+        select = parse(f"SELECT {', '.join(VALUE_FORMS)}")
+        assert repr(insert.rows) == repr(
+            (tuple(item.expr for item in select.items),))
+
+    def test_multi_row_insert_matches_rows_inserted_one_by_one(self):
+        """One multi-row INSERT of literals stores the same rows and charges
+        the same virtual time as one INSERT per row whose values all go
+        through the compiled-expression path (``coalesce(x)`` is x)."""
+        rows = [(i, None if i % 4 == 0 else f"g'{i % 3}", i * 0.25 - 3,
+                 i % 2 == 0) for i in range(200)]
+
+        def literal(value):
+            if value is None:
+                return "NULL"
+            if isinstance(value, bool):
+                return str(value).upper()
+            if isinstance(value, str):
+                return "'" + value.replace("'", "''") + "'"
+            return repr(value)
+
+        ddl = "CREATE TABLE t (id INT UNIQUE, g TEXT, v FLOAT, b BOOL)"
+        bulk, general = repro.connect(), repro.connect()
+        bulk.execute(ddl)
+        general.execute(ddl)
+        bulk.execute("INSERT INTO t VALUES " + ", ".join(
+            "(" + ", ".join(literal(v) for v in row) + ")" for row in rows))
+        for row in rows:
+            general.execute("INSERT INTO t VALUES (" + ", ".join(
+                f"coalesce({literal(v)})" for v in row) + ")")
+
+        def typed(db):
+            return [[(type(v), v) for v in row]
+                    for row in db.execute("SELECT * FROM t").rows]
+
+        assert typed(bulk) == typed(general) == [
+            [(type(v), v) for v in row] for row in rows]
+        assert bulk.clock.breakdown() == general.clock.breakdown()
+
+    @pytest.mark.parametrize("value, accepted", [
+        ("(" * MAX_EXPR_NESTING + "1" + ")" * MAX_EXPR_NESTING, False),
+        ("(" * (MAX_EXPR_NESTING - 1) + "1" + ")" * (MAX_EXPR_NESTING - 1),
+         True),
+        (" + ".join(["1"] * (MAX_EXPR_DEPTH + 1)), False),
+        (" + ".join(["1"] * MAX_EXPR_DEPTH), True),
+    ], ids=["nesting-over", "nesting-at", "depth-over", "depth-at"])
+    def test_expression_limits_apply_inside_values(self, value, accepted):
+        for sql in (f"INSERT INTO t VALUES (1, 'a'), (2, {value})",
+                    f"PREDICT VALUE OF y FROM t VALUES ({value}, 1)"):
+            if accepted:
+                parse(sql)
+            else:
+                with pytest.raises(ParseError,
+                                   match="too deep|nested too deeply"):
+                    parse(sql)
 
 
 @given(st.integers(min_value=-10**9, max_value=10**9))

@@ -1,8 +1,9 @@
 """Regression tests for SQL semantics checked against stdlib ``sqlite3``:
 three-valued ``IN``/``NOT IN`` with a NULL in the list, ``%`` as the SQL
 remainder (sign of the dividend), ORDER BY keys that are not in the
-select list, and over-deep expressions raising :class:`ParseError`
-rather than ``RecursionError``.
+select list, over-deep expressions and malformed numbers raising
+:class:`ParseError` rather than ``RecursionError`` or ``ValueError``, and
+the source position a string token reports.
 
 Each sqlite-checked query runs on the row engine and on the batch engine,
 whose WHERE clauses go through the vectorized evaluators, so both
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.common.errors import BindError, ParseError
 from repro.exec.executor import Executor
-from repro.sql import parse
+from repro.sql import parse, tokenize
 from repro.sql.parser import MAX_EXPR_DEPTH, MAX_EXPR_NESTING
 
 ROWS = [(1, 7, "x", -7.5), (2, -7, "y", 7.5), (3, 3, None, 2.0),
@@ -183,3 +184,29 @@ def test_expressions_at_the_limit_run_everywhere(dbs, sql):
                for engine in ("row", "batch", "parallel", "distributed")]
     assert all(rows == results[0] for rows in results)
     db.execute("EXPLAIN ANALYZE " + sql)
+
+
+# A malformed number is lexed as one NUMBER token; the parser converted it
+# with float() and the ValueError escaped parse() and db.execute().  sqlite3
+# rejects all four spellings too.
+MALFORMED_NUMBERS = ["SELECT 1e", "SELECT 1.2.3", "SELECT 3e+", "SELECT 1..2"]
+
+
+@pytest.mark.parametrize("sql", MALFORMED_NUMBERS)
+def test_malformed_numbers_raise_parse_error(dbs, sql):
+    db, oracle = dbs
+    with pytest.raises(sqlite3.Error):
+        oracle.execute(sql)
+    with pytest.raises(ParseError, match="malformed number") as info:
+        parse(sql)
+    assert info.value.position == len("SELECT ")
+    with pytest.raises(ParseError, match="malformed number"):
+        db.execute(sql)
+
+
+def test_string_tokens_carry_their_start_position():
+    """A STRING token used to record the offset after its closing quote."""
+    with pytest.raises(ParseError, match="trailing input 'bcd'") as info:
+        parse("SELECT 'a' 'bcd'")
+    assert info.value.position == 11
+    assert [t.position for t in tokenize("'it''s' , 'x'")] == [0, 8, 10, 13]
