@@ -36,15 +36,17 @@ from repro.common import categories as cat
 from repro.common.errors import (BindError, ExecutionError, NeurDBError,
                                  is_retryable)
 from repro.common.faults import FaultPlan
-from repro.common.simtime import SimClock
+from repro.common.simtime import CostModel, SimClock
 from repro.exec.executor import Executor, ResultSet
 from repro.exec.expr import (RowLayout, compile_expr,
                              compile_predicate_batch, to_bool)
+from repro.exec.operators import index_rids
 from repro.obs.explain import (explain_analyze, explain_plan,
                                explain_statement_trace)
 from repro.obs.export import chrome_trace, dump_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.plan.logical import IndexScan
 from repro.plan.optimizer import Planner
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -411,37 +413,57 @@ class NeurDB:
         schema = table.schema
         layout = RowLayout([(statement.table, c.name)
                             for c in schema.columns])
-        predicate = (compile_expr(statement.where, layout)
-                     if statement.where is not None else None)
         assignments = [(schema.index_of(col), compile_expr(expr, layout))
                        for col, expr in statement.assignments]
-        victims: list[tuple] = []
-        for rid, row in table.scan():
-            if predicate is None or to_bool(predicate(row)):
-                victims.append((rid, row))
+        victims = self._victims(statement.table, statement.where)
         for rid, row in victims:
             new_row = list(row)
             for position, evaluator in assignments:
                 new_row[position] = evaluator(row)
+            # the heap goes first: a row it refuses (a UNIQUE violation)
+            # keeps its index entries.  A sharded update can move the row
+            # to another shard and returns the fresh rid; heap updates
+            # return None (rid kept)
+            new_rid = table.update(rid, new_row) or rid
             self._index_delete(statement.table, row, rid)
-            # a sharded update can move the row to another shard and
-            # returns the fresh rid; heap updates return None (rid kept)
-            rid = table.update(rid, new_row) or rid
-            self._index_insert(statement.table, table.read(rid), rid)
+            self._index_insert(statement.table, table.read(new_rid), new_rid)
         return _status(f"UPDATE {len(victims)}", rowcount=len(victims))
 
     def _run_delete(self, statement: ast.Delete) -> ResultSet:
         table = self.catalog.table(statement.table)
-        layout = RowLayout([(statement.table, c.name)
-                            for c in table.schema.columns])
-        predicate = (compile_expr(statement.where, layout)
-                     if statement.where is not None else None)
-        victims = [(rid, row) for rid, row in table.scan()
-                   if predicate is None or to_bool(predicate(row))]
+        victims = self._victims(statement.table, statement.where)
         for rid, row in victims:
-            self._index_delete(statement.table, row, rid)
             table.delete(rid)
+            self._index_delete(statement.table, row, rid)
         return _status(f"DELETE {len(victims)}", rowcount=len(victims))
+
+    def _victims(self, table_name: str,
+                 where: ast.Expr | None) -> list[tuple]:
+        """The ``(rid, row)`` pairs an UPDATE or DELETE writes, all
+        collected before the first write, in heap order.
+
+        The planner chooses the access path as for a SELECT.  A SeqScan
+        walks ``table.scan()``; an IndexScan charges one descent and reads
+        only the rids the index selects.  Every candidate is checked
+        against the full WHERE, and the rids are sorted into the order a
+        scan visits them, so the writes (and a UNIQUE violation among
+        them) happen in the same order on either path."""
+        table = self.catalog.table(table_name)
+        layout = RowLayout([(table_name, c.name)
+                            for c in table.schema.columns])
+        predicate = (compile_expr(where, layout)
+                     if where is not None else None)
+        path = self.planner.access_path(table_name, where)
+        if not isinstance(path, IndexScan):
+            return [(rid, row) for rid, row in table.scan()
+                    if predicate is None or to_bool(predicate(row))]
+        self.clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
+        victims = []
+        for rid in sorted(index_rids(path, self.catalog)):
+            row = table.read(rid)
+            if row is not None and to_bool(predicate(row)):
+                victims.append((rid, row))
+        return victims
 
     def _index_insert(self, table_name: str, row, rid) -> None:
         table = self.catalog.table(table_name)

@@ -237,6 +237,24 @@ class SeqScanOp(Operator):
         return block if mask is None else block.select(mask)
 
 
+def index_rids(node: plan.IndexScan, catalog: Catalog) -> Iterator:
+    """The record ids an IndexScan node selects, in index key order: the
+    postings of ``eq``, else a B+-tree range scan between ``low`` and
+    ``high`` that honours the node's include flags.  IndexScanOp and the
+    facade's UPDATE/DELETE victim search both read their rids here."""
+    entry = next((e for e in catalog.indexes_on(node.table)
+                  if e.name == node.index_name), None)
+    if entry is None:
+        raise ExecutionError(f"index {node.index_name!r} missing")
+    if node.eq is not None:
+        return iter(entry.index.search(node.eq))
+    if entry.kind != "btree":
+        raise ExecutionError("range scan requires a btree index")
+    return (rid for _, rid in entry.index.range_scan(
+        low=node.low, high=node.high, include_low=node.include_low,
+        include_high=node.include_high))
+
+
 class IndexScanOp(Operator):
     def __init__(self, node: plan.IndexScan, catalog: Catalog,
                  clock: SimClock):
@@ -245,16 +263,11 @@ class IndexScanOp(Operator):
                             for c in table.schema.columns])
         super().__init__(layout, clock)
         self.plan_node = node
+        self._catalog = catalog
         self._table = table
         self._node = node
         self._kinds = schema_kinds(table.schema)
         self.max_batch_rows = DEFAULT_BATCH_SIZE
-        entry = next((e for e in catalog.indexes_on(node.table)
-                      if e.name == node.index_name), None)
-        if entry is None:
-            raise ExecutionError(f"index {node.index_name!r} missing")
-        self._index = entry.index
-        self._kind = entry.kind
         if node.residual is not None:
             self._residual = compile_expr_cached(node.residual, layout)
             self._residual_batch = compile_predicate_batch(node.residual,
@@ -263,17 +276,9 @@ class IndexScanOp(Operator):
             self._residual = None
             self._residual_batch = None
 
-    def _key_rids(self):
-        node = self._node
-        if node.eq is not None:
-            return ((node.eq, rid) for rid in self._index.search(node.eq))
-        if self._kind != "btree":
-            raise ExecutionError("range scan requires a btree index")
-        return self._index.range_scan(low=node.low, high=node.high)
-
     def __iter__(self) -> Iterator[tuple]:
         self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        for _, rid in self._key_rids():
+        for rid in index_rids(self._node, self._catalog):
             row = self._table.read(rid)
             if row is None:
                 continue
@@ -287,7 +292,7 @@ class IndexScanOp(Operator):
     def batches(self) -> Iterator[RowBlock]:
         self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
         buffer: list[tuple] = []
-        for _, rid in self._key_rids():
+        for rid in index_rids(self._node, self._catalog):
             row = self._table.read(rid)
             if row is None:
                 continue

@@ -100,28 +100,29 @@ class CardinalityEstimator:
 
     def _sel_comparison(self, expr: ast.BinaryOp,
                         bindings: dict[str, str]) -> float:
-        column, literal = _split_column_literal(expr)
-        if column is None:
+        term = column_literal(expr)
+        if term is None:
             # col-to-col comparison within one row, or something opaque
             return 0.1 if expr.op != "=" else DEFAULT_JOIN_SELECTIVITY
+        column, op, literal = term
         stats = self._column_stats(column, bindings)
-        if expr.op == "=":
+        if op == "=":
             if stats is not None and literal is not None:
                 return stats.selectivity_eq(literal)
             return DEFAULT_EQ_SELECTIVITY
-        if expr.op == "<>":
+        if op == "<>":
             if stats is not None and literal is not None:
                 return 1.0 - stats.selectivity_eq(literal)
             return 1.0 - DEFAULT_EQ_SELECTIVITY
-        if expr.op in ("<", "<=", ">", ">="):
+        if op in ("<", "<=", ">", ">="):
             if stats is not None and literal is not None and isinstance(
                     literal, (int, float)):
                 value = float(literal)
-                if expr.op in ("<", "<="):
+                if op in ("<", "<="):
                     return stats.selectivity_range(None, value)
                 return stats.selectivity_range(value, None)
             return DEFAULT_RANGE_SELECTIVITY
-        if expr.op == "LIKE":
+        if op == "LIKE":
             return 0.1
         return 0.5
 
@@ -168,15 +169,27 @@ def _literal_value(expr: ast.Expr) -> Any:
     return expr.value if isinstance(expr, ast.Literal) else None
 
 
-def _split_column_literal(expr: ast.BinaryOp):
-    """For ``col OP literal`` (either side), return (ColumnRef, value)."""
+#: the comparison that holds with its operands swapped: ``3 > id`` is
+#: ``id < 3``
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<",
+             ">=": "<="}
+
+
+def column_literal(
+        expr: ast.Expr) -> tuple[ast.ColumnRef, str, Any] | None:
+    """``col OP literal`` or ``literal OP col`` as ``(column, op, value)``
+    with the column on the left: ``3 > id`` gives ``(id, "<", 3)``.  A
+    literal on the left is accepted only under a comparison, the ops that
+    have a mirror; None for any other shape."""
+    if not isinstance(expr, ast.BinaryOp):
+        return None
     if isinstance(expr.left, ast.ColumnRef) and isinstance(
             expr.right, ast.Literal):
-        return expr.left, expr.right.value
-    if isinstance(expr.right, ast.ColumnRef) and isinstance(
-            expr.left, ast.Literal):
-        return expr.right, expr.left.value
-    return None, None
+        return expr.left, expr.op, expr.right.value
+    if (isinstance(expr.right, ast.ColumnRef)
+            and isinstance(expr.left, ast.Literal) and expr.op in _MIRRORED):
+        return expr.right, _MIRRORED[expr.op], expr.left.value
+    return None
 
 
 def is_equi_join_condition(expr: ast.Expr):

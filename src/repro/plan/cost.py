@@ -131,9 +131,10 @@ class PlanCoster:
 
     def _selectivity_range(self, node: plan.IndexScan) -> float:
         stats = self._table_column_stats(node)
-        if stats is not None:
-            low = float(node.low) if node.low is not None else None
-            high = float(node.high) if node.high is not None else None
+        bounds = (node.low, node.high)
+        # the histogram covers numbers; a TEXT range takes the default
+        if stats is not None and not any(isinstance(b, str) for b in bounds):
+            low, high = (None if b is None else float(b) for b in bounds)
             return stats.selectivity_range(low, high)
         return 0.33
 

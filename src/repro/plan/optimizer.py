@@ -24,10 +24,12 @@ from typing import Optional
 
 from repro.common.errors import BindError, PlanError
 from repro.plan import logical as plan
-from repro.plan.cardinality import CardinalityEstimator, is_equi_join_condition
+from repro.plan.cardinality import (CardinalityEstimator, column_literal,
+                                    is_equi_join_condition)
 from repro.plan.cost import PlanCoster
 from repro.sql import ast
 from repro.storage.catalog import Catalog
+from repro.storage.types import DataType
 
 
 @dataclass
@@ -59,6 +61,10 @@ def conjoin(exprs: list[ast.Expr]) -> Optional[ast.Expr]:
     for e in exprs[1:]:
         out = ast.BinaryOp("AND", out, e)
     return out
+
+
+#: the comparisons a B+-tree range scan answers
+_BOUNDS = (">", ">=", "<", "<=")
 
 
 class Planner:
@@ -171,15 +177,20 @@ class Planner:
 
     # -- access paths -------------------------------------------------------------
 
-    def _access_path(self, bound: BoundQuery, alias: str) -> plan.PlanNode:
-        """Best single-table access: index scan if profitable, else seqscan."""
-        table = bound.bindings[alias]
-        predicates = bound.filters.get(alias, [])
-        index_plan = self._try_index_scan(table, alias, predicates)
-        seq = plan.SeqScan(table=table, binding=alias,
-                           predicate=conjoin(predicates))
-        coster = self._coster(bound)
+    def access_path(self, table: str, where: Optional[ast.Expr],
+                    binding: Optional[str] = None) -> plan.PlanNode:
+        """The cheapest single-table access for ``where`` over ``table``,
+        annotated with its estimates: an IndexScan when an index answers
+        a conjunct and is estimated cheaper, else a SeqScan with ``where``
+        pushed down.  SELECT takes it for each FROM entry (``binding`` is
+        the alias); UPDATE and DELETE take it to find their victims."""
+        table = table.lower()
+        alias = table if binding is None else binding.lower()
+        seq = plan.SeqScan(table=table, binding=alias, predicate=where)
+        coster = PlanCoster(self._estimator, {alias: table})
         coster.annotate(seq)
+        index_plan = self._try_index_scan(table, alias,
+                                          split_conjuncts(where))
         if index_plan is None:
             return seq
         coster.annotate(index_plan)
@@ -187,34 +198,44 @@ class Planner:
 
     def _try_index_scan(self, table: str, alias: str,
                         predicates: list[ast.Expr]) -> plan.IndexScan | None:
+        """An IndexScan for the first conjunct an index answers: ``=`` on
+        any index, a range on a B+-tree.  A range scan also takes the
+        first bound on the other side of the same column, so ``id >= 5
+        AND id < 15`` is one scan over ``[5, 15)``.  The conjuncts the
+        scan answers leave the residual."""
         entries = self._catalog.indexes_on(table)
         if not entries:
             return None
-        for i, predicate in enumerate(predicates):
-            if not isinstance(predicate, ast.BinaryOp):
-                continue
-            column, literal = _column_literal(predicate)
-            if column is None or literal is None:
-                continue
+        schema = self._catalog.table(table).schema
+        terms = [column_literal(p) for p in predicates]
+
+        def usable(term, column: str) -> bool:
+            # a literal of another type than the keys (``id = 'a'``)
+            # cannot be looked up; its conjunct stays in the filter
+            return (term is not None and term[0].name.lower() == column
+                    and term[2] is not None
+                    and isinstance(term[2], str)
+                    == (schema.column(column).dtype is DataType.TEXT))
+
+        for i, term in enumerate(terms):
             for entry in entries:
-                if entry.column != column.name.lower():
+                if not usable(term, entry.column):
                     continue
-                residual = conjoin(predicates[:i] + predicates[i + 1:])
-                if predicate.op == "=":
-                    return plan.IndexScan(table=table, binding=alias,
-                                          index_name=entry.name,
-                                          column=entry.column, eq=literal,
-                                          residual=residual)
-                if predicate.op in ("<", "<=") and entry.kind == "btree":
-                    return plan.IndexScan(table=table, binding=alias,
-                                          index_name=entry.name,
-                                          column=entry.column,
-                                          high=literal, residual=residual)
-                if predicate.op in (">", ">=") and entry.kind == "btree":
-                    return plan.IndexScan(table=table, binding=alias,
-                                          index_name=entry.name,
-                                          column=entry.column,
-                                          low=literal, residual=residual)
+                scan = plan.IndexScan(table=table, binding=alias,
+                                      index_name=entry.name,
+                                      column=entry.column)
+                if term[1] == "=":
+                    scan.eq = term[2]
+                    used = [i]
+                elif entry.kind == "btree" and term[1] in _BOUNDS:
+                    used = [j for j in range(i, len(terms))
+                            if usable(terms[j], entry.column)
+                            and _take_bound(scan, terms[j][1], terms[j][2])]
+                else:
+                    continue
+                scan.residual = conjoin([p for j, p in enumerate(predicates)
+                                         if j not in used])
+                return scan
         return None
 
     # -- join enumeration ------------------------------------------------------------
@@ -227,7 +248,9 @@ class Planner:
                               max_trees: int) -> list[plan.PlanNode]:
         aliases = bound.table_order
         coster = self._coster(bound)
-        access = {a: self._access_path(bound, a) for a in aliases}
+        access = {a: self.access_path(bound.bindings[a],
+                                      conjoin(bound.filters[a]), a)
+                  for a in aliases}
 
         if len(aliases) == 1:
             only = access[aliases[0]]
@@ -447,16 +470,13 @@ class _EmptyRow(plan.PlanNode):
         return "EmptyRow"
 
 
-def _column_literal(expr: ast.BinaryOp):
-    """Normalize ``col OP lit`` / ``lit OP col`` to (col, lit) with OP
-    flipped onto the column side by the caller's op usage."""
-    if isinstance(expr.left, ast.ColumnRef) and isinstance(
-            expr.right, ast.Literal):
-        return expr.left, expr.right.value
-    if isinstance(expr.right, ast.ColumnRef) and isinstance(
-            expr.left, ast.Literal):
-        # NOTE: callers only use this for '=' and btree ranges where the
-        # flipped form is handled conservatively (treated as '=')
-        if expr.op == "=":
-            return expr.right, expr.left.value
-    return None, None
+def _take_bound(scan: plan.IndexScan, op: str, value) -> bool:
+    """Set the range bound ``op value`` on ``scan`` if that side is still
+    open; True when taken."""
+    if op in (">", ">=") and scan.low is None:
+        scan.low, scan.include_low = value, op == ">="
+        return True
+    if op in ("<", "<=") and scan.high is None:
+        scan.high, scan.include_high = value, op == "<="
+        return True
+    return False

@@ -57,11 +57,20 @@ def parse(sql: str) -> ast.Statement:
 
 
 def parse_script(sql: str) -> list[ast.Statement]:
-    """Parse a ``;``-separated script into a list of statements."""
+    """Parse a ``;``-separated script into a list of statements.  The
+    script is tokenized once and cut at ``;`` tokens, so a ``;`` inside a
+    string literal or a ``--`` comment does not end a statement."""
     statements = []
-    for piece in sql.split(";"):
-        if piece.strip():
-            statements.append(parse(piece))
+    piece: list[Token] = []
+    for token in tokenize(sql):
+        if token.type is TokenType.EOF or (
+                token.type is TokenType.PUNCT and token.value == ";"):
+            if piece:
+                piece.append(Token(TokenType.EOF, "", token.position))
+                statements.append(_Parser(piece).parse_statement())
+                piece = []
+        else:
+            piece.append(token)
     return statements
 
 

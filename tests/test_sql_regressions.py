@@ -2,8 +2,10 @@
 three-valued ``IN``/``NOT IN`` with a NULL in the list, ``%`` as the SQL
 remainder (sign of the dividend), ORDER BY keys that are not in the
 select list, over-deep expressions and malformed numbers raising
-:class:`ParseError` rather than ``RecursionError`` or ``ValueError``, and
-the source position a string token reports.
+:class:`ParseError` rather than ``RecursionError`` or ``ValueError``, the
+source position a string token reports, exact strict bounds on B+-tree
+index scans, comparisons with the literal on the left, and ``;`` inside
+a string or a comment of a script.
 
 Each sqlite-checked query runs on the row engine and on the batch engine,
 whose WHERE clauses go through the vectorized evaluators, so both
@@ -19,7 +21,9 @@ import pytest
 import repro
 from repro.common.errors import BindError, ParseError
 from repro.exec.executor import Executor
-from repro.sql import parse, tokenize
+from repro.plan.cardinality import column_literal
+from repro.plan.logical import IndexScan
+from repro.sql import ast, parse, parse_script, tokenize
 from repro.sql.parser import MAX_EXPR_DEPTH, MAX_EXPR_NESTING
 
 ROWS = [(1, 7, "x", -7.5), (2, -7, "y", 7.5), (3, 3, None, 2.0),
@@ -210,3 +214,122 @@ def test_string_tokens_carry_their_start_position():
         parse("SELECT 'a' 'bcd'")
     assert info.value.position == 11
     assert [t.position for t in tokenize("'it''s' , 'x'")] == [0, 8, 10, 13]
+
+
+# B+-tree index scans over n.id (0..1999) and n.s.  A strict bound used
+# to scan inclusively with no residual left to drop the boundary row:
+# ``id < 3`` returned 0..3.
+INDEX_QUERIES = [
+    "SELECT id FROM n WHERE id < 3",
+    "SELECT id FROM n WHERE id <= 3",
+    "SELECT id FROM n WHERE id > 1996",
+    "SELECT id FROM n WHERE id >= 1996",
+    "SELECT id FROM n WHERE id > 5 AND id < 9",
+    "SELECT id FROM n WHERE id >= 5 AND id <= 9",
+    "SELECT id FROM n WHERE id > 5 AND id <= 9",
+    "SELECT id FROM n WHERE id >= 5 AND id < 9",
+    "SELECT id FROM n WHERE id < 9 AND s <> 's7' AND id > 5",
+    "SELECT id FROM n WHERE 3 > id",
+    "SELECT id FROM n WHERE 1996 <= id",
+    "SELECT id FROM n WHERE 9 > id AND 5 < id",
+    "SELECT id FROM n WHERE id < 2.5",
+    "SELECT id FROM n WHERE id > 9 AND id < 5",
+]
+
+
+@pytest.fixture(scope="module")
+def index_dbs():
+    db = repro.connect()
+    db.execute("CREATE TABLE n (id INT UNIQUE, s TEXT)")
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE n (id INTEGER, s TEXT)")
+    rows = [(i, f"s{i % 50}") for i in range(2000)]
+    db.execute("INSERT INTO n VALUES "
+               + ", ".join(repr(row) for row in rows))
+    oracle.executemany("INSERT INTO n VALUES (?, ?)", rows)
+    db.execute("CREATE INDEX n_id ON n (id)")
+    db.execute("CREATE INDEX n_s ON n (s)")
+    db.execute("ANALYZE")
+    yield db, oracle
+    oracle.close()
+
+
+def _leaves(node):
+    if not node.children:
+        return [node]
+    return [leaf for child in node.children for leaf in _leaves(child)]
+
+
+@pytest.mark.parametrize("engine", ["row", "batch"])
+@pytest.mark.parametrize("sql", INDEX_QUERIES)
+def test_index_scan_bounds_match_sqlite(index_dbs, sql, engine):
+    db, oracle = index_dbs
+    plan = db.planner.plan_select(parse(sql))
+    assert isinstance(_leaves(plan)[0], IndexScan)
+    got = Executor(db.catalog, db.clock, engine=engine).run(plan).rows
+    assert _normalized(got) == _normalized(oracle.execute(sql).fetchall())
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT id FROM n WHERE s > 's48' AND id < 100",
+    "SELECT id FROM n WHERE s >= 's7' AND s < 's8'",
+])
+def test_text_range_on_an_index_matches_sqlite(index_dbs, sql):
+    """Costing a TEXT range on an index took ``float('s48')`` and raised a
+    bare ValueError."""
+    db, oracle = index_dbs
+    assert _normalized(db.execute(sql).rows) == _normalized(
+        oracle.execute(sql).fetchall())
+
+
+def test_literal_of_another_type_skips_the_index(index_dbs):
+    """``id = 'a'`` cannot be looked up in an integer B+-tree (the lookup
+    raised a bare TypeError); it is filtered by a scan instead."""
+    db, oracle = index_dbs
+    sql = "SELECT id FROM n WHERE id = 'a'"
+    assert not isinstance(_leaves(db.planner.plan_select(parse(sql)))[0],
+                          IndexScan)
+    assert db.execute(sql).rows == oracle.execute(sql).fetchall() == []
+
+
+MIRRORS = [("3 > id", "id < 3"), ("1996 <= id", "id >= 1996"),
+           ("5 = id", "id = 5"), ("3 <> id", "id <> 3"),
+           ("9 > id AND 5 < id", "id < 9 AND id > 5")]
+
+
+@pytest.mark.parametrize("flipped,mirror", MIRRORS)
+def test_flipped_comparison_plans_like_its_mirror(index_dbs, flipped,
+                                                  mirror):
+    """``3 > id`` kept the op ``>`` with the column on the left: it was
+    estimated as ``id > 3`` (1997 rows) and took a SeqScan."""
+    db, _ = index_dbs
+    assert (db.execute(f"EXPLAIN SELECT id FROM n WHERE {flipped}").rows
+            == db.execute(f"EXPLAIN SELECT id FROM n WHERE {mirror}").rows)
+
+
+def test_column_literal_mirrors_the_operator():
+    def where(text):
+        return parse(f"SELECT 1 FROM n WHERE {text}").where
+
+    column, op, value = column_literal(where("3 > id"))
+    assert (column.name, op, value) == ("id", "<", 3)
+    assert column_literal(where("id >= 2"))[1:] == (">=", 2)
+    assert column_literal(where("'a%' LIKE s")) is None
+    assert column_literal(where("id = s")) is None
+
+
+def test_script_splits_only_at_statement_semicolons():
+    """``parse_script`` split the text at every ``;``, inside string
+    literals and ``--`` comments too."""
+    insert, select = parse_script("INSERT INTO t VALUES ('a;b'); SELECT 1")
+    assert isinstance(insert, ast.Insert)
+    assert insert.rows[0][0].value == "a;b"
+    assert isinstance(select, ast.Select)
+    (statement,) = parse_script("SELECT 1 -- done; really\nFROM t")
+    assert statement.from_table.name == "t"
+    assert len(parse_script("SELECT 1;; SELECT 2;")) == 2
+    db = repro.connect()
+    db.execute_script("CREATE TABLE q (s TEXT); "
+                      "INSERT INTO q VALUES ('x;y'); -- a; comment\n"
+                      "INSERT INTO q VALUES (';')")
+    assert db.execute("SELECT s FROM q").rows == [("x;y",), (";",)]
