@@ -21,6 +21,7 @@ monitor watches per-model loss; on drift it triggers the fine-tune operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 import numpy as np
@@ -36,11 +37,11 @@ from repro.common import categories as cat
 from repro.common.errors import (BindError, ExecutionError, NeurDBError,
                                  is_retryable)
 from repro.common.faults import FaultPlan
-from repro.common.simtime import CostModel, SimClock
+from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
 from repro.exec.expr import (RowLayout, compile_expr,
                              compile_predicate_batch, to_bool)
-from repro.exec.operators import index_rids
+from repro.exec.operators import index_entry, index_rows
 from repro.obs.explain import (explain_analyze, explain_plan,
                                explain_statement_trace)
 from repro.obs.export import chrome_trace, dump_chrome_trace
@@ -457,13 +458,11 @@ class NeurDB:
         if not isinstance(path, IndexScan):
             return [(rid, row) for rid, row in table.scan()
                     if predicate is None or to_bool(predicate(row))]
-        self.clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        victims = []
-        for rid in sorted(index_rids(path, self.catalog)):
-            row = table.read(rid)
-            if row is not None and to_bool(predicate(row)):
-                victims.append((rid, row))
-        return victims
+        entry = index_entry(path, self.catalog)
+        return [(rid, row) for rid, row in sorted(
+                    index_rows(path, entry, table, self.clock),
+                    key=itemgetter(0))
+                if to_bool(predicate(row))]
 
     def _index_insert(self, table_name: str, row, rid) -> None:
         table = self.catalog.table(table_name)

@@ -81,7 +81,7 @@ from repro.exec.expr import (
 )
 from repro.plan import logical as plan
 from repro.sql import ast
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, IndexEntry
 from repro.storage.types import TypedColumn
 
 # A value source for the batch path: either a direct column slot or a
@@ -237,22 +237,36 @@ class SeqScanOp(Operator):
         return block if mask is None else block.select(mask)
 
 
-def index_rids(node: plan.IndexScan, catalog: Catalog) -> Iterator:
-    """The record ids an IndexScan node selects, in index key order: the
-    postings of ``eq``, else a B+-tree range scan between ``low`` and
-    ``high`` that honours the node's include flags.  IndexScanOp and the
-    facade's UPDATE/DELETE victim search both read their rids here."""
+def index_entry(node: plan.IndexScan, catalog: Catalog) -> IndexEntry:
+    """The catalog entry an IndexScan node reads.  A missing index, or a
+    range over a hash index, raises here, before anything is charged."""
     entry = next((e for e in catalog.indexes_on(node.table)
                   if e.name == node.index_name), None)
     if entry is None:
         raise ExecutionError(f"index {node.index_name!r} missing")
-    if node.eq is not None:
-        return iter(entry.index.search(node.eq))
-    if entry.kind != "btree":
+    if node.eq is None and entry.kind != "btree":
         raise ExecutionError("range scan requires a btree index")
-    return (rid for _, rid in entry.index.range_scan(
-        low=node.low, high=node.high, include_low=node.include_low,
-        include_high=node.include_high))
+    return entry
+
+
+def index_rows(node: plan.IndexScan, entry: IndexEntry, table,
+               clock: SimClock) -> Iterator[tuple]:
+    """Charge one index descent, then yield ``(rid, row)`` for each live
+    heap row the node selects, in index key order: the postings of
+    ``eq``, else a B+-tree range scan between ``low`` and ``high`` that
+    honours the node's include flags.  IndexScanOp and the facade's
+    UPDATE/DELETE victim search both read an index through here."""
+    clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
+    if node.eq is not None:
+        rids = entry.index.search(node.eq)
+    else:
+        rids = (rid for _, rid in entry.index.range_scan(
+            low=node.low, high=node.high, include_low=node.include_low,
+            include_high=node.include_high))
+    for rid in rids:
+        row = table.read(rid)
+        if row is not None:
+            yield rid, row
 
 
 class IndexScanOp(Operator):
@@ -263,9 +277,9 @@ class IndexScanOp(Operator):
                             for c in table.schema.columns])
         super().__init__(layout, clock)
         self.plan_node = node
-        self._catalog = catalog
         self._table = table
         self._node = node
+        self._entry = index_entry(node, catalog)
         self._kinds = schema_kinds(table.schema)
         self.max_batch_rows = DEFAULT_BATCH_SIZE
         if node.residual is not None:
@@ -276,12 +290,11 @@ class IndexScanOp(Operator):
             self._residual = None
             self._residual_batch = None
 
+    def _rows(self) -> Iterator[tuple]:
+        return index_rows(self._node, self._entry, self._table, self._clock)
+
     def __iter__(self) -> Iterator[tuple]:
-        self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        for rid in index_rids(self._node, self._catalog):
-            row = self._table.read(rid)
-            if row is None:
-                continue
+        for _, row in self._rows():
             self._clock.advance(CostModel.TUPLE_CPU, cat.INDEX)
             if self._residual is not None:
                 self._clock.advance(CostModel.EVAL_PREDICATE, cat.FILTER)
@@ -290,12 +303,8 @@ class IndexScanOp(Operator):
             yield self._emit(row)
 
     def batches(self) -> Iterator[RowBlock]:
-        self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
         buffer: list[tuple] = []
-        for rid in index_rids(self._node, self._catalog):
-            row = self._table.read(rid)
-            if row is None:
-                continue
+        for _, row in self._rows():
             buffer.append(row)
             if len(buffer) >= self.max_batch_rows:
                 block = self._filtered_block(buffer)

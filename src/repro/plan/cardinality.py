@@ -78,7 +78,9 @@ class CardinalityEstimator:
             stats = self._column_stats_of(expr.operand, bindings)
             low = _literal_value(expr.low)
             high = _literal_value(expr.high)
-            if stats is not None and low is not None and high is not None:
+            # the histogram covers numbers; a TEXT range takes the default
+            if stats is not None and all(isinstance(v, (int, float))
+                                         for v in (low, high)):
                 sel = stats.selectivity_range(float(low), float(high))
             else:
                 sel = DEFAULT_RANGE_SELECTIVITY

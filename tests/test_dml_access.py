@@ -22,7 +22,8 @@ import sqlite3
 import pytest
 
 import repro
-from repro.common.errors import ConstraintViolation
+from repro.common.errors import ConstraintViolation, ExecutionError
+from repro.exec.operators import IndexScanOp
 from repro.plan.logical import IndexScan
 from repro.sql import parse
 
@@ -201,6 +202,20 @@ def test_keyed_update_touches_one_heap_page():
         pages = db.catalog.table("t").page_count
         assert pages > 5
         assert pool.resident_pages == (1 if indexed else pages)
+
+
+@pytest.mark.parametrize("node", [
+    IndexScan(table="t", binding="t", index_name="gone", column="id", eq=1),
+    IndexScan(table="t", binding="t", index_name="t_k", column="k", low=1),
+])
+def test_unreadable_index_raises_before_any_charge(node):
+    """A missing index, or a range over a hash index, is refused when the
+    operator is built, before the index descent is charged."""
+    db = _load(_rows(range(50)), indexed=True)
+    db.clock.reset()
+    with pytest.raises(ExecutionError):
+        IndexScanOp(node, db.catalog, db.clock)
+    assert db.clock.now == 0.0
 
 
 # -- seeded differential -------------------------------------------------

@@ -4,8 +4,9 @@ remainder (sign of the dividend), ORDER BY keys that are not in the
 select list, over-deep expressions and malformed numbers raising
 :class:`ParseError` rather than ``RecursionError`` or ``ValueError``, the
 source position a string token reports, exact strict bounds on B+-tree
-index scans, comparisons with the literal on the left, and ``;`` inside
-a string or a comment of a script.
+index scans, comparisons with the literal on the left, a TEXT BETWEEN
+on an analyzed table, and ``;`` inside a string or a comment of a
+script.
 
 Each sqlite-checked query runs on the row engine and on the batch engine,
 whose WHERE clauses go through the vectorized evaluators, so both
@@ -280,6 +281,38 @@ def test_text_range_on_an_index_matches_sqlite(index_dbs, sql):
     db, oracle = index_dbs
     assert _normalized(db.execute(sql).rows) == _normalized(
         oracle.execute(sql).fetchall())
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+@pytest.mark.parametrize("sql", [
+    "SELECT id FROM n WHERE s BETWEEN 's2' AND 's4'",
+    "SELECT id FROM n WHERE s NOT BETWEEN 's2' AND 's4'",
+    "UPDATE n SET s = 'moved' WHERE s BETWEEN 's2' AND 's4'",
+    "DELETE FROM n WHERE s BETWEEN 's2' AND 's4'",
+])
+def test_text_between_on_an_analyzed_table_matches_sqlite(sql, indexed):
+    """Estimating a TEXT BETWEEN on an analyzed table took ``float('s2')``
+    and raised a bare ValueError; UPDATE and DELETE meet the estimator
+    too, since they plan their access path."""
+    db = repro.connect()
+    db.execute("CREATE TABLE n (id INT, s TEXT)")
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE n (id INTEGER, s TEXT)")
+    rows = [(i, f"s{i % 7}") for i in range(300)]
+    db.execute("INSERT INTO n VALUES "
+               + ", ".join(repr(row) for row in rows))
+    oracle.executemany("INSERT INTO n VALUES (?, ?)", rows)
+    if indexed:
+        db.execute("CREATE INDEX n_s ON n (s)")
+    db.execute("ANALYZE")
+    got = db.execute(sql).rows
+    want = oracle.execute(sql).fetchall()
+    if sql.startswith("SELECT"):
+        assert _normalized(got) == _normalized(want)
+    final = "SELECT id, s FROM n"
+    assert _normalized(db.execute(final).rows) == _normalized(
+        oracle.execute(final).fetchall())
+    oracle.close()
 
 
 def test_literal_of_another_type_skips_the_index(index_dbs):
